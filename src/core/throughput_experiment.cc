@@ -9,36 +9,33 @@ namespace spineless::core {
 
 PathSampler::PathSampler(const topo::Graph& g, sim::RoutingMode mode,
                          int su_k)
-    : graph_(g),
-      mode_(mode),
-      ecmp_(routing::EcmpTable::compute(g)),
-      k_(su_k) {
+    : mode_(mode), k_(su_k) {
   if (mode_ == sim::RoutingMode::kShortestUnion) {
     vrf_ = std::make_unique<routing::VrfTable>(
         routing::VrfTable::compute(g, su_k));
+  } else {
+    ecmp_ = routing::EcmpTable::compute(g);
   }
 }
 
 routing::Path PathSampler::sample(topo::NodeId src, topo::NodeId dst,
                                   Rng& rng) const {
+  if (mode_ == sim::RoutingMode::kEcmp) {
+    routing::Path path = routing::sample_ecmp_path(ecmp_, src, dst, rng);
+    SPINELESS_CHECK_MSG(!path.empty(), "graph is disconnected");
+    return path;
+  }
   routing::Path path{src};
-  if (src == dst) return path;
   topo::NodeId node = src;
   int vrf = k_;
   int guard = 0;
   while (node != dst) {
     SPINELESS_CHECK_MSG(++guard <= 64, "path sampling did not terminate");
-    if (mode_ == sim::RoutingMode::kEcmp) {
-      const auto& hops = ecmp_.next_hops(node, dst);
-      SPINELESS_CHECK(!hops.empty());
-      node = hops[rng.uniform(hops.size())].neighbor;
-    } else {
-      const auto& hops = vrf_->next_hops(node, vrf, dst);
-      SPINELESS_CHECK(!hops.empty());
-      const auto& h = hops[rng.uniform(hops.size())];
-      node = h.port.neighbor;
-      vrf = h.next_vrf;
-    }
+    const auto& hops = vrf_->next_hops(node, vrf, dst);
+    SPINELESS_CHECK(!hops.empty());
+    const auto& h = hops[rng.uniform(hops.size())];
+    node = h.port.neighbor;
+    vrf = h.next_vrf;
     path.push_back(node);
   }
   return path;

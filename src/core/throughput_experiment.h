@@ -19,7 +19,8 @@ namespace spineless::core {
 
 // Samples one forwarding path for a flow by walking the hop-by-hop next-hop
 // tables with uniform random tie-breaks — the fluid-model analogue of
-// per-hop ECMP hashing.
+// per-hop ECMP hashing. Builds only the table its mode walks: ECMP
+// (routing::sample_ecmp_path) or Shortest-Union VRFs.
 class PathSampler {
  public:
   PathSampler(const topo::Graph& g, sim::RoutingMode mode, int su_k);
@@ -27,7 +28,6 @@ class PathSampler {
   routing::Path sample(topo::NodeId src, topo::NodeId dst, Rng& rng) const;
 
  private:
-  const topo::Graph& graph_;
   sim::RoutingMode mode_;
   routing::EcmpTable ecmp_;
   std::unique_ptr<routing::VrfTable> vrf_;

@@ -9,93 +9,22 @@
 namespace spineless::flowsim {
 
 FlowLevelSimulator::FlowLevelSimulator(const Graph& g, double link_rate_bps)
-    : graph_(g), link_rate_(link_rate_bps), num_hosts_(g.total_servers()) {
+    : layout_(g),
+      capacities_(layout_.capacities(link_rate_bps, link_rate_bps)) {
   SPINELESS_CHECK(link_rate_bps > 0);
-}
-
-std::vector<int> FlowLevelSimulator::resources_for(HostId src, HostId dst,
-                                                   const Path& path) const {
-  SPINELESS_CHECK(!path.empty());
-  SPINELESS_CHECK(path.front() == graph_.tor_of_host(src) &&
-                  path.back() == graph_.tor_of_host(dst));
-  std::vector<int> res;
-  res.push_back(src);                // host uplink
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    topo::LinkId link = topo::kInvalidLink;
-    for (const topo::Port& p : graph_.neighbors(path[i])) {
-      if (p.neighbor == path[i + 1]) {
-        link = p.link;
-        break;
-      }
-    }
-    SPINELESS_CHECK_MSG(link != topo::kInvalidLink, "path hop is not a link");
-    const bool a_to_b = graph_.link(link).a == path[i];
-    res.push_back(2 * num_hosts_ + 2 * link + (a_to_b ? 0 : 1));
-  }
-  res.push_back(num_hosts_ + dst);   // host downlink
-  return res;
 }
 
 int FlowLevelSimulator::add_flow(HostId src, HostId dst, std::int64_t bytes,
                                  Time start, const Path& path) {
   SPINELESS_CHECK(src != dst && bytes > 0 && start >= 0);
-  (void)resources_for(src, dst, path);  // validate eagerly
+  routes_.push_back(layout_.flow(src, dst, path));  // validates eagerly
   FlowResult r;
   r.src = src;
   r.dst = dst;
   r.bytes = bytes;
   r.start = start;
   results_.push_back(r);
-  paths_.push_back(path);
   return static_cast<int>(results_.size()) - 1;
-}
-
-void FlowLevelSimulator::recompute_rates(
-    std::vector<ActiveFlow>& active) const {
-  // Progressive filling, same algorithm as MaxMinProblem::solve but
-  // in-place over the active set.
-  const std::size_t nr = static_cast<std::size_t>(
-      2 * num_hosts_ + 2 * graph_.num_links());
-  std::vector<double> remaining(nr, link_rate_);
-  std::vector<double> load(nr, 0.0);
-  std::vector<char> frozen(active.size(), 0);
-  for (auto& f : active) {
-    f.rate = 0;
-    for (int r : f.resources) load[static_cast<std::size_t>(r)] += 1.0;
-  }
-  std::size_t live = active.size();
-  constexpr double kEps = 1e-12;
-  while (live > 0) {
-    double inc = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < nr; ++r)
-      if (load[r] > kEps) inc = std::min(inc, remaining[r] / load[r]);
-    SPINELESS_CHECK(std::isfinite(inc));
-    inc = std::max(inc, 0.0);
-    for (std::size_t r = 0; r < nr; ++r) remaining[r] -= inc * load[r];
-    std::vector<char> saturated(nr, 0);
-    for (std::size_t r = 0; r < nr; ++r)
-      if (load[r] > kEps && remaining[r] <= 1e-9 * link_rate_)
-        saturated[r] = 1;
-    bool any = false;
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      if (frozen[i]) continue;
-      active[i].rate += inc;
-      bool freeze = false;
-      for (int r : active[i].resources)
-        if (saturated[static_cast<std::size_t>(r)]) {
-          freeze = true;
-          break;
-        }
-      if (freeze) {
-        frozen[i] = 1;
-        --live;
-        any = true;
-        for (int r : active[i].resources)
-          load[static_cast<std::size_t>(r)] -= 1.0;
-      }
-    }
-    SPINELESS_CHECK_MSG(any || live == 0, "water-filling stalled");
-  }
 }
 
 std::size_t FlowLevelSimulator::run(Time deadline) {
@@ -138,18 +67,13 @@ std::size_t FlowLevelSimulator::run(Time deadline) {
       drain(arrival - now);
       now = arrival;
       const std::size_t id = order[next_arrival++];
-      ActiveFlow f;
-      f.id = id;
-      f.resources = resources_for(results_[id].src, results_[id].dst,
-                                  paths_[id]);
-      f.remaining_bytes = static_cast<double>(results_[id].bytes);
-      active.push_back(std::move(f));
+      active.push_back({id, static_cast<double>(results_[id].bytes), 0.0});
     } else {
       drain(completion - now);
       now = completion;
       // Retire every flow that drained (tolerance: one bit).
       for (std::size_t i = 0; i < active.size();) {
-        if (active[i].remaining_bytes <= 0.125) {
+        if (active[i].remaining_bytes <= kDrainedBytes) {
           results_[active[i].id].finish = now;
           ++completed;
           active[i] = active.back();
@@ -159,7 +83,10 @@ std::size_t FlowLevelSimulator::run(Time deadline) {
         }
       }
     }
-    recompute_rates(active);
+    MaxMinProblem problem(capacities_);
+    for (const ActiveFlow& f : active) problem.add_flow(routes_[f.id]);
+    const std::vector<double> rates = problem.solve();
+    for (std::size_t i = 0; i < active.size(); ++i) active[i].rate = rates[i];
   }
   return completed;
 }

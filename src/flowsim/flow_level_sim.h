@@ -1,9 +1,12 @@
 // Event-driven flow-level simulation: flows arrive, share the fabric at
-// max-min fair rates, and depart when their bytes drain. Rates are
-// recomputed at every arrival/departure (the standard fluid FCT model).
-// Orders of magnitude faster than the packet simulator at the cost of
-// abstracting away queues, RTTs, and loss — tests/flowsim cross-validate
-// it against packet-level TCP on shared-bottleneck scenarios.
+// max-min fair rates, and depart when their bytes drain. At every arrival
+// and departure the rates are re-solved by MaxMinProblem::solve over the
+// active flows' routes in the shared ResourceLayout (fluid_network.h) —
+// the standard fluid FCT model, on the same solver and layout as
+// FluidNetwork and the hybrid engine's fluid half. Orders of magnitude
+// faster than the packet simulator at the cost of abstracting away queues,
+// RTTs, and loss — tests/flowsim cross-validate it against packet-level
+// TCP on shared-bottleneck scenarios.
 //
 // Use it for quick what-if sweeps; use sim/ for anything where transport
 // dynamics matter (tails, incast, DCTCP).
@@ -12,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "flowsim/fluid_network.h"
 #include "routing/types.h"
 #include "topo/graph.h"
 #include "util/stats.h"
@@ -19,9 +23,9 @@
 
 namespace spineless::flowsim {
 
-using routing::Path;
-using topo::Graph;
-using topo::HostId;
+// A fluid flow is complete once less than this many bytes (one bit)
+// remain — the retirement threshold of every fluid stepper.
+constexpr double kDrainedBytes = 0.125;
 
 class FlowLevelSimulator {
  public:
@@ -49,21 +53,15 @@ class FlowLevelSimulator {
 
  private:
   struct ActiveFlow {
-    std::size_t id;                // index into results_
-    std::vector<int> resources;    // resource ids (see fluid_network.cc)
+    std::size_t id;  // index into results_ / routes_
     double remaining_bytes = 0;
     double rate = 0;
   };
 
-  void recompute_rates(std::vector<ActiveFlow>& active) const;
-  std::vector<int> resources_for(HostId src, HostId dst,
-                                 const Path& path) const;
-
-  const Graph& graph_;
-  double link_rate_;
-  int num_hosts_;
+  ResourceLayout layout_;
+  std::vector<double> capacities_;  // layout_ order, all at the link rate
   std::vector<FlowResult> results_;
-  std::vector<Path> paths_;  // per flow
+  std::vector<std::vector<int>> routes_;  // per flow, layout_ resource ids
 };
 
 }  // namespace spineless::flowsim

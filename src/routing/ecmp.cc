@@ -4,6 +4,7 @@
 #include <deque>
 
 #include "topo/analysis.h"
+#include "util/rng.h"
 #include "util/runner.h"
 
 namespace spineless::routing {
@@ -34,11 +35,53 @@ std::vector<int> bfs_avoiding(const Graph& g, NodeId src,
   return dist;
 }
 
+// One destination's slice of pass 1: BFS from dst, store the distance row,
+// and count each node's tight next hops (live neighbors one hop closer)
+// into count_row.
+void count_next_hops(const Graph& g, NodeId dst, const LinkSet* dead,
+                     int* dist_row, std::uint32_t* count_row) {
+  const bool filtering = dead != nullptr && !dead->empty();
+  const auto dist = bfs_avoiding(g, dst, dead);
+  for (NodeId u = 0; u < g.num_switches(); ++u) {
+    const int du = dist[static_cast<std::size_t>(u)];
+    dist_row[static_cast<std::size_t>(u)] = du;
+    if (u == dst) continue;
+    if (du < 0) {
+      SPINELESS_CHECK_MSG(filtering, "disconnected graph in EcmpTable");
+      continue;
+    }
+    std::uint32_t c = 0;
+    for (const Port& p : g.neighbors(u)) {
+      if (filtering && dead->contains(p.link)) continue;
+      if (dist[static_cast<std::size_t>(p.neighbor)] == du - 1) ++c;
+    }
+    count_row[static_cast<std::size_t>(u)] = c;
+  }
+}
+
+// One destination's slice of pass 2: re-derive the tight sets from the
+// stored distance row and write them, in port order, at ports + off_row[u].
+void fill_next_hops(const Graph& g, NodeId dst, const LinkSet* dead,
+                    const int* dist_row, const std::uint32_t* off_row,
+                    Port* ports) {
+  const bool filtering = dead != nullptr && !dead->empty();
+  for (NodeId u = 0; u < g.num_switches(); ++u) {
+    if (u == dst) continue;
+    const int du = dist_row[static_cast<std::size_t>(u)];
+    if (du < 0) continue;
+    Port* out = ports + off_row[static_cast<std::size_t>(u)];
+    for (const Port& p : g.neighbors(u)) {
+      if (filtering && dead->contains(p.link)) continue;
+      if (dist_row[static_cast<std::size_t>(p.neighbor)] == du - 1)
+        *out++ = p;
+    }
+  }
+}
+
 }  // namespace
 
 EcmpTable EcmpTable::compute(const Graph& g, const LinkSet* dead,
                              util::Runner* runner) {
-  const bool filtering = dead != nullptr && !dead->empty();
   EcmpTable t;
   t.n_ = g.num_switches();
   const auto n = static_cast<std::size_t>(g.num_switches());
@@ -49,25 +92,8 @@ EcmpTable EcmpTable::compute(const Graph& g, const LinkSet* dead,
   // store the distance row, and count the tight next hops per (dst, node)
   // into off_[index + 1].
   auto count_for_dst = [&](std::size_t d) {
-    const auto dst = static_cast<NodeId>(d);
-    const auto dist = bfs_avoiding(g, dst, dead);
-    int* dist_row = t.dist_.data() + d * n;
-    std::uint32_t* count_row = t.off_.data() + d * n + 1;
-    for (NodeId u = 0; u < g.num_switches(); ++u) {
-      const int du = dist[static_cast<std::size_t>(u)];
-      dist_row[static_cast<std::size_t>(u)] = du;
-      if (u == dst) continue;
-      if (du < 0) {
-        SPINELESS_CHECK_MSG(filtering, "disconnected graph in EcmpTable");
-        continue;
-      }
-      std::uint32_t c = 0;
-      for (const Port& p : g.neighbors(u)) {
-        if (filtering && dead->contains(p.link)) continue;
-        if (dist[static_cast<std::size_t>(p.neighbor)] == du - 1) ++c;
-      }
-      count_row[static_cast<std::size_t>(u)] = c;
-    }
+    count_next_hops(g, static_cast<NodeId>(d), dead, t.dist_.data() + d * n,
+                    t.off_.data() + d * n + 1);
   };
 
   // Pass 2 — exclusive prefix sum over the counts (serial, cheap) turns
@@ -75,19 +101,8 @@ EcmpTable EcmpTable::compute(const Graph& g, const LinkSet* dead,
   // tight sets from the stored distance rows — again per-destination into
   // disjoint ranges, so parallel order cannot change the layout.
   auto fill_for_dst = [&](std::size_t d) {
-    const auto dst = static_cast<NodeId>(d);
-    const int* dist_row = t.dist_.data() + d * n;
-    for (NodeId u = 0; u < g.num_switches(); ++u) {
-      if (u == dst) continue;
-      const int du = dist_row[static_cast<std::size_t>(u)];
-      if (du < 0) continue;
-      Port* out = t.ports_.data() + t.off_[d * n + static_cast<std::size_t>(u)];
-      for (const Port& p : g.neighbors(u)) {
-        if (filtering && dead->contains(p.link)) continue;
-        if (dist_row[static_cast<std::size_t>(p.neighbor)] == du - 1)
-          *out++ = p;
-      }
-    }
+    fill_next_hops(g, static_cast<NodeId>(d), dead, t.dist_.data() + d * n,
+                   t.off_.data() + d * n, t.ports_.data());
   };
 
   if (runner != nullptr && runner->jobs() > 1 && n > 1) {
@@ -108,7 +123,6 @@ void EcmpTable::recompute_destinations(const Graph& g, const LinkSet* dead,
                                        const std::vector<NodeId>& dsts,
                                        util::Runner* runner) {
   if (dsts.empty()) return;
-  const bool filtering = dead != nullptr && !dead->empty();
   const auto n = static_cast<std::size_t>(n_);
   std::vector<char> affected(n, 0);
   for (const NodeId d : dsts) affected[static_cast<std::size_t>(d)] = 1;
@@ -124,26 +138,9 @@ void EcmpTable::recompute_destinations(const Graph& g, const LinkSet* dead,
   // Pass 1: fresh BFS + next-hop counts for each affected destination;
   // unaffected destinations re-derive their counts from the old offsets.
   auto count_affected = [&](std::size_t i) {
-    const NodeId dst = dsts[i];
-    const auto d = static_cast<std::size_t>(dst);
-    const auto dist = bfs_avoiding(g, dst, dead);
-    int* dist_row = dist_.data() + d * n;
-    std::uint32_t* count_row = off_.data() + d * n + 1;
-    for (NodeId u = 0; u < n_; ++u) {
-      const int du = dist[static_cast<std::size_t>(u)];
-      dist_row[static_cast<std::size_t>(u)] = du;
-      if (u == dst) continue;
-      if (du < 0) {
-        SPINELESS_CHECK_MSG(filtering, "disconnected graph in EcmpTable");
-        continue;
-      }
-      std::uint32_t c = 0;
-      for (const Port& p : g.neighbors(u)) {
-        if (filtering && dead->contains(p.link)) continue;
-        if (dist[static_cast<std::size_t>(p.neighbor)] == du - 1) ++c;
-      }
-      count_row[static_cast<std::size_t>(u)] = c;
-    }
+    const auto d = static_cast<std::size_t>(dsts[i]);
+    count_next_hops(g, dsts[i], dead, dist_.data() + d * n,
+                    off_.data() + d * n + 1);
   };
   if (runner != nullptr && runner->jobs() > 1 && dsts.size() > 1) {
     runner->run_batch(dsts.size(), count_affected);
@@ -171,19 +168,8 @@ void EcmpTable::recompute_destinations(const Graph& g, const LinkSet* dead,
                 ports_.begin() + off_[d * n]);
       return;
     }
-    const auto dst = static_cast<NodeId>(d);
-    const int* dist_row = dist_.data() + d * n;
-    for (NodeId u = 0; u < n_; ++u) {
-      if (u == dst) continue;
-      const int du = dist_row[static_cast<std::size_t>(u)];
-      if (du < 0) continue;
-      Port* out = ports_.data() + off_[d * n + static_cast<std::size_t>(u)];
-      for (const Port& p : g.neighbors(u)) {
-        if (filtering && dead->contains(p.link)) continue;
-        if (dist_row[static_cast<std::size_t>(p.neighbor)] == du - 1)
-          *out++ = p;
-      }
-    }
+    fill_next_hops(g, static_cast<NodeId>(d), dead, dist_.data() + d * n,
+                   off_.data() + d * n, ports_.data());
   };
   if (runner != nullptr && runner->jobs() > 1 && n > 1) {
     runner->run_batch(n, fill_dst);
@@ -235,6 +221,18 @@ std::vector<NodeId> EcmpTable::splice_link_change(const Graph& g,
   }
   recompute_destinations(g, &dead, dsts, runner);
   return dsts;
+}
+
+Path sample_ecmp_path(const EcmpTable& table, NodeId src, NodeId dst,
+                      Rng& rng) {
+  if (table.distance(src, dst) < 0) return {};
+  Path path{src};
+  for (NodeId node = src; node != dst;) {
+    const auto hops = table.next_hops(node, dst);
+    node = hops[rng.uniform(hops.size())].neighbor;
+    path.push_back(node);
+  }
+  return path;
 }
 
 bool ecmp_table_valid(const Graph& g, const EcmpTable& table,

@@ -9,6 +9,10 @@
 
 #include "routing/types.h"
 
+namespace spineless {
+class Rng;
+}
+
 namespace spineless::util {
 class Runner;
 }
@@ -87,6 +91,12 @@ class EcmpTable {
   std::vector<std::uint32_t> off_;
   std::vector<int> dist_;
 };
+
+// One flow's path under hashed hop-by-hop ECMP: walk the table from src
+// to dst, drawing one rng.uniform per hop to pick among the next hops.
+// {src} when src == dst; empty when dst is unreachable from src.
+Path sample_ecmp_path(const EcmpTable& table, NodeId src, NodeId dst,
+                      Rng& rng);
 
 // Sanity checker used by tests and (behind NetworkConfig::validate_tables)
 // by reconvergence: every next hop strictly decreases the distance to the

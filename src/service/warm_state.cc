@@ -350,33 +350,20 @@ WhatIfResult WarmState::run_fluid(const std::vector<workload::FlowSpec>& flows,
   flowsim::FlowLevelSimulator fluid(
       graph_, static_cast<double>(cfg_.net.link_rate_bps));
   Rng rng(splitmix64(seed ^ 0xf1d0f1d0f1d0f1d0ULL));
-  std::size_t added = 0;
   for (const auto& f : flows) {
-    const topo::NodeId src = graph_.tor_of_host(f.src);
-    const topo::NodeId dst = graph_.tor_of_host(f.dst);
-    routing::Path path{src};
-    if (src != dst) {
-      if (table.distance(src, dst) < 0) {
-        ++r.stalled;  // no surviving path: the flow never completes
-        continue;
-      }
-      topo::NodeId node = src;
-      while (node != dst) {
-        const auto hops = table.next_hops(node, dst);
-        SPINELESS_CHECK(!hops.empty());
-        node = hops[rng.uniform(hops.size())].neighbor;
-        path.push_back(node);
-      }
+    const routing::Path path = routing::sample_ecmp_path(
+        table, graph_.tor_of_host(f.src), graph_.tor_of_host(f.dst), rng);
+    if (path.empty()) {
+      ++r.stalled;  // no surviving path: the flow never completes
+      continue;
     }
     fluid.add_flow(f.src, f.dst, f.bytes, f.start, path);
-    ++added;
   }
   r.completed = fluid.run(cfg_.horizon);
   const Summary fct = fluid.fct_ms();
   r.p50_ms = fct.median();
   r.p99_ms = fct.p99();
   r.flows = flows.size();
-  (void)added;
   return r;
 }
 

@@ -357,10 +357,9 @@ void Network::FlowletTable::grow() {
 }
 
 topo::LinkId Network::link_to_neighbor(NodeId node, NodeId neighbor) const {
-  for (const routing::Port& p : graph_.neighbors(node)) {
-    if (p.neighbor == neighbor) return p.link;
-  }
-  throw Error("source route hop is not a link");
+  const topo::LinkId link = graph_.link_between(node, neighbor);
+  if (link == topo::kInvalidLink) throw Error("source route hop is not a link");
+  return link;
 }
 
 std::uint64_t Network::hash_key(Simulator& sim, NodeId node,

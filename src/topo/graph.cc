@@ -33,6 +33,13 @@ bool Graph::adjacent(NodeId a, NodeId b) const {
                      [target](const Port& p) { return p.neighbor == target; });
 }
 
+LinkId Graph::link_between(NodeId u, NodeId v) const {
+  for (const Port& p : neighbors(u)) {
+    if (p.neighbor == v) return p.link;
+  }
+  return kInvalidLink;
+}
+
 void Graph::set_servers(NodeId n, int count) {
   SPINELESS_CHECK(count >= 0);
   auto& slot = servers_.at(static_cast<std::size_t>(n));

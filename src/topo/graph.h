@@ -56,6 +56,9 @@ class Graph {
 
   // True if a and b share at least one direct link.
   bool adjacent(NodeId a, NodeId b) const;
+  // The first link from u to v in u's port order (parallel links: the
+  // lowest port index, deterministically); kInvalidLink if none.
+  LinkId link_between(NodeId u, NodeId v) const;
 
   const std::vector<Port>& neighbors(NodeId n) const {
     return adjacency_.at(static_cast<std::size_t>(n));

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 
+#include "core/throughput_experiment.h"
 #include "sim/tcp.h"
 #include "topo/builders.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace spineless::flowsim {
 namespace {
@@ -112,6 +114,32 @@ TEST(FlowLevelSim, TracksPacketSimOnSharedBottleneck) {
   const double packet_last = driver.fct_ms().max();
 
   EXPECT_NEAR(fluid_last, packet_last, 0.2 * packet_last);
+}
+
+TEST(FlowLevelSim, GoldenFinishTimesOnRrg) {
+  // Pins every finish time of a 300-flow ECMP workload on a fixed RRG, so
+  // any change to the stepper or its max-min solver that moves a single
+  // finish time by one picosecond fails here.
+  const topo::Graph g = topo::make_rrg(32, 6, 4, 17);
+  const core::PathSampler paths(g, sim::RoutingMode::kEcmp, 2);
+  Rng rng(0xf10f);
+  FlowLevelSimulator fluid(g, 10e9);
+  const auto hosts = static_cast<std::uint64_t>(g.total_servers());
+  for (int i = 0; i < 300; ++i) {
+    const auto src = static_cast<HostId>(rng.uniform(hosts));
+    auto dst = static_cast<HostId>(rng.uniform(hosts - 1));
+    if (dst >= src) ++dst;
+    const auto bytes =
+        static_cast<std::int64_t>(10'000 + rng.uniform(2'000'000));
+    const auto start = static_cast<Time>(rng.uniform(5 * units::kMillisecond));
+    fluid.add_flow(src, dst, bytes, start,
+                   paths.sample(g.tor_of_host(src), g.tor_of_host(dst), rng));
+  }
+  ASSERT_EQ(fluid.run(), 300u);
+  std::uint64_t h = 0;
+  for (const auto& r : fluid.results())
+    h = splitmix64(h ^ static_cast<std::uint64_t>(r.finish));
+  EXPECT_EQ(h, 12427917407587328439ull);
 }
 
 }  // namespace

@@ -44,6 +44,24 @@ TEST(Graph, ParallelLinksAllowed) {
   EXPECT_EQ(g.network_degree(0), 2);
 }
 
+TEST(Graph, LinkBetweenPicksFirstParallelLinkInPortOrder) {
+  Graph g(3);
+  g.add_link(1, 2);                   // link 0
+  const LinkId first = g.add_link(0, 1);
+  g.add_link(0, 1);                   // parallel, later port
+  EXPECT_EQ(g.link_between(0, 1), first);
+  EXPECT_EQ(g.link_between(1, 0), first);
+  EXPECT_EQ(g.link_between(2, 1), 0);
+}
+
+TEST(Graph, LinkBetweenNonAdjacentIsInvalid) {
+  Graph g(3);
+  g.add_link(0, 1);
+  g.add_link(1, 2);
+  EXPECT_EQ(g.link_between(0, 2), kInvalidLink);
+  EXPECT_EQ(g.link_between(0, 0), kInvalidLink);
+}
+
 TEST(Graph, ServerAccounting) {
   Graph g(3);
   g.set_servers(0, 4);
