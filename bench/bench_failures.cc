@@ -276,50 +276,23 @@ int run(int argc, char** argv) {
         session.add(&mon);
         const sim::CheckpointSpec spec = sweep.spec_for(idx, ctx);
 
-        const auto setup = [&](sim::Simulator& sim) {
-          for (const auto& f : flows)
-            driver.add_flow(sim, f.src, f.dst, f.bytes, f.start);
-          inj.arm(sim, horizon);
-          mon.start(sim, 0, 30 * units::kMillisecond);
-        };
-        // Segmented main loop, mirroring core::run_fct_experiment: restore
-        // first (the reconstructed state above is discarded), then advance
-        // boundary to boundary, snapshotting between segments.
-        const auto drive = [&](auto& eng) {
-          if (spec.resume && !spec.path.empty()) session.restore(spec.path, eng);
-          const Time step =
-              spec.interval > 0 ? spec.interval : std::max<Time>(1, horizon / 64);
-          Time t = eng.now();
-          while (t < horizon) {
-            t = std::min<Time>(horizon, t + step);
-            eng.run_until(t);
-            if (spec.progress) spec.progress(eng.events_processed());
-            if (spec.audit) {
-              const sim::AuditReport report = session.audit(eng);
-              if (!report.ok()) throw Error(report.to_string());
-            }
-            if (t >= horizon) break;
-            if (!spec.path.empty()) session.save(spec.path, eng);
-            if (spec.cancel && spec.cancel()) return false;
-          }
-          return true;
-        };
+        // Advances boundary to boundary, snapshotting between segments;
+        // a resumed cell restores first, discarding the state built here.
+        const Time step =
+            spec.interval > 0 ? spec.interval : std::max<Time>(1, horizon / 64);
 
         bench::BenchJson::Cell out;
         out.label = scenarios[idx].label;
         out.intra_jobs = net_cfg.intra_jobs;
         out.has_fault = true;
-        if (net.sharded()) {
-          sim::ShardedEngine engine(net);
-          setup(engine.control());
-          drive(engine);
-          out.events = engine.events_processed();
-        } else {
-          sim::Simulator simulator;
-          setup(simulator);
-          drive(simulator);
-          out.events = simulator.events_processed();
-        }
+        sim::with_engine(net, [&](auto& eng, sim::Simulator& control) {
+          for (const auto& f : flows)
+            driver.add_flow(control, f.src, f.dst, f.bytes, f.start);
+          inj.arm(control, horizon);
+          mon.start(control, 0, 30 * units::kMillisecond);
+          sim::run_segments(eng, &session, spec, horizon, step);
+          out.events = eng.events_processed();
+        });
 
         const auto rep = inj.report(horizon);
         out.blackhole_s = rep.blackhole_seconds;

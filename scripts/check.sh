@@ -74,20 +74,28 @@ echo "== hybrid smoke (packet/fluid co-simulation) =="
 # divergence); on top of that the smoke requires genuinely hybrid
 # execution — nonzero packet events AND nonzero fluid windows/solves in
 # every scale cell, so a regression that silently degenerates one half to
-# a no-op cannot pass.
+# a no-op cannot pass. Every cell's result_hash is pinned (the three
+# calibration cells, and the scale cell at both intra_jobs), so drift in
+# window segmentation or the fluid half fails here even when it is
+# deterministic.
 ./build/bench/bench_hybrid --m=12 --hot_flows=64 --bg_flows=32 \
   --json_out=hybrid_smoke.json
 awk '
-  /"result_hash":/   { if ($NF + 0 != 0) hash_ok = 1 }
+  /"result_hash":/   { pinned[$NF]++ }
   /"events":/        { if ($NF + 0 > 0) pkt_ok = 1 }
   /"fluid_windows":/ { if ($NF + 0 > 0) windows_ok = 1 }
   /"fluid_solves":/  { if ($NF + 0 > 0) solves_ok = 1 }
   END {
-    if (!hash_ok)    { print "hybrid smoke: no nonzero result_hash"; exit 1 }
+    if (pinned["10451393883759705883"] != 1 ||
+        pinned["16421032291759785090"] != 1 ||
+        pinned["2933582600213049891"] != 1 ||
+        pinned["11983990711596963945"] != 2) {
+      print "hybrid smoke: a pinned result_hash is missing"; exit 1
+    }
     if (!pkt_ok)     { print "hybrid smoke: zero packet events"; exit 1 }
     if (!windows_ok) { print "hybrid smoke: zero fluid windows"; exit 1 }
     if (!solves_ok)  { print "hybrid smoke: zero fluid solves"; exit 1 }
-    print "hybrid smoke: determinism hash ok, packet + fluid halves live"
+    print "hybrid smoke: result hashes pinned, packet + fluid halves live"
   }' RS=',|\n' FS=':' hybrid_smoke.json
 
 echo "== hybrid-fault smoke (whole-network fault tolerance) =="

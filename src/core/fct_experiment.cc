@@ -9,42 +9,6 @@
 #include "util/rng.h"
 
 namespace spineless::core {
-namespace {
-
-// Advances `eng` to `deadline` in segments, checkpointing / auditing /
-// polling the cancel hook at each quiescent boundary. Segmentation does not
-// change results: repeated run_until calls execute the identical event
-// sequence as a single call. Returns false if the cancel hook stopped the
-// run early (after saving a resume point).
-template <typename Engine>
-bool run_with_boundaries(Engine& eng, sim::CheckpointSession& session,
-                         const sim::CheckpointSpec& spec, Time deadline) {
-  if (spec.resume && !spec.path.empty()) session.restore(spec.path, eng);
-  Time step = spec.interval;
-  if (step <= 0) {
-    // No interval given: boundaries only serve the audit/cancel/progress
-    // hooks, so a coarse polling granularity is enough.
-    const bool polls = spec.audit || static_cast<bool>(spec.cancel) ||
-                       static_cast<bool>(spec.progress);
-    step = polls ? std::max<Time>(1, deadline / 64) : deadline;
-  }
-  Time t = eng.now();  // resume point when a snapshot was restored
-  while (t < deadline) {
-    t = std::min<Time>(deadline, t + step);
-    eng.run_until(t);
-    if (spec.progress) spec.progress(eng.events_processed());
-    if (spec.audit) {
-      const sim::AuditReport report = session.audit(eng);
-      if (!report.ok()) throw Error(report.to_string());
-    }
-    if (t >= deadline) break;  // complete: no snapshot needed
-    if (!spec.path.empty()) session.save(spec.path, eng);
-    if (spec.cancel && spec.cancel()) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 std::uint64_t fct_config_hash(const topo::Graph& g, const FctConfig& cfg) {
   sim::HashChain h;
@@ -66,56 +30,54 @@ std::uint64_t fct_config_hash(const topo::Graph& g, const FctConfig& cfg) {
   return h.value();
 }
 
+std::vector<workload::FlowSpec> generate_experiment_flows(
+    const topo::Graph& g, const workload::RackTm& tm, const FctConfig& cfg,
+    Rng& rng) {
+  workload::TmSampler sampler(g, tm);
+  if (cfg.random_placement) sampler.apply_random_placement(rng);
+  return workload::generate_flows(sampler, cfg.flowgen, rng);
+}
+
+Time run_deadline(const FctConfig& cfg) {
+  return static_cast<Time>(static_cast<double>(cfg.flowgen.window) *
+                           cfg.drain_factor);
+}
+
 FctResult run_fct_experiment(const topo::Graph& g, const workload::RackTm& tm,
                              const FctConfig& cfg) {
   Rng rng(cfg.seed);
-  workload::TmSampler sampler(g, tm);
-  if (cfg.random_placement) sampler.apply_random_placement(rng);
-  const auto specs = workload::generate_flows(sampler, cfg.flowgen, rng);
+  const auto specs = generate_experiment_flows(g, tm, cfg, rng);
 
   sim::Network net(g, cfg.net);
   sim::FlowDriver driver(net, cfg.tcp);
-  const Time deadline = static_cast<Time>(
-      static_cast<double>(cfg.flowgen.window) * cfg.drain_factor);
+  const Time deadline = run_deadline(cfg);
   const sim::CheckpointSpec& spec = cfg.checkpoint;
-
-  std::uint64_t events = 0;
-  bool finished = true;
-  if (net.sharded()) {
-    sim::ShardedEngine engine(net);
-    for (const auto& f : specs)
-      driver.add_flow(engine.control(), f.src, f.dst, f.bytes, f.start);
-    if (spec.enabled()) {
-      sim::CheckpointSession session(net, fct_config_hash(g, cfg));
-      session.add(&driver);
-      finished = run_with_boundaries(engine, session, spec, deadline);
-    } else {
-      engine.run_until(deadline);
-    }
-    events = engine.events_processed();
-  } else {
-    sim::Simulator simulator;
-    for (const auto& f : specs)
-      driver.add_flow(simulator, f.src, f.dst, f.bytes, f.start);
-    if (spec.enabled()) {
-      sim::CheckpointSession session(net, fct_config_hash(g, cfg));
-      session.add(&driver);
-      finished = run_with_boundaries(simulator, session, spec, deadline);
-    } else {
-      simulator.run_until(deadline);
-    }
-    events = simulator.events_processed();
+  Time step = spec.interval;
+  if (step <= 0) {
+    // No interval given: boundaries only serve the audit/cancel/progress
+    // hooks, so a coarse polling granularity is enough; without any hook
+    // the run is one segment.
+    const bool polls = spec.audit || static_cast<bool>(spec.cancel) ||
+                       static_cast<bool>(spec.progress);
+    step = polls ? std::max<Time>(1, deadline / 64) : deadline;
   }
 
   FctResult r;
-  r.finished = finished;
+  sim::with_engine(net, [&](auto& eng, sim::Simulator& control) {
+    for (const auto& f : specs)
+      driver.add_flow(control, f.src, f.dst, f.bytes, f.start);
+    sim::CheckpointSession session(net, fct_config_hash(g, cfg));
+    session.add(&driver);
+    r.finished = sim::run_segments(eng, &session, spec, deadline, step);
+    r.events = eng.events_processed();
+  });
+
   r.fct_ms = driver.fct_ms();
   r.flows = driver.num_flows();
   r.completed = driver.completed_flows();
   r.queue_drops = net.stats().queue_drops;
   r.retransmits = driver.total_retransmits();
   r.max_queue_bytes = net.max_network_queue_bytes();
-  r.events = events;
   r.intra_jobs = net.config().intra_jobs;
   r.table_build_s = net.table_build_seconds();
   return r;
@@ -125,9 +87,7 @@ FctResult run_fct_experiment_fluid(const topo::Graph& g,
                                    const workload::RackTm& tm,
                                    const FctConfig& cfg) {
   Rng rng(cfg.seed);
-  workload::TmSampler sampler(g, tm);
-  if (cfg.random_placement) sampler.apply_random_placement(rng);
-  const auto specs = workload::generate_flows(sampler, cfg.flowgen, rng);
+  const auto specs = generate_experiment_flows(g, tm, cfg, rng);
 
   PathSampler paths(g, cfg.net.mode, cfg.net.su_k);
   flowsim::FlowLevelSimulator fluid(
@@ -137,9 +97,7 @@ FctResult run_fct_experiment_fluid(const topo::Graph& g,
                    paths.sample(g.tor_of_host(f.src), g.tor_of_host(f.dst),
                                 rng));
   }
-  const Time deadline = static_cast<Time>(
-      static_cast<double>(cfg.flowgen.window) * cfg.drain_factor);
-  const std::size_t completed = fluid.run(deadline);
+  const std::size_t completed = fluid.run(run_deadline(cfg));
 
   FctResult r;
   r.fct_ms = fluid.fct_ms();

@@ -6,11 +6,13 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/checkpoint.h"
 #include "sim/network.h"
 #include "sim/tcp.h"
 #include "topo/graph.h"
+#include "util/rng.h"
 #include "util/stats.h"
 #include "workload/flows.h"
 #include "workload/tm.h"
@@ -57,6 +59,16 @@ struct FctResult {
 // shape, routing, shard count, workload window — chained into the snapshot
 // config hash. Restore refuses a snapshot whose hash differs.
 std::uint64_t fct_config_hash(const topo::Graph& g, const FctConfig& cfg);
+
+// The cell's workload: flows sampled from `tm` (after a random host
+// placement when cfg.random_placement is set), drawing from `rng`. Callers
+// that go on sampling paths keep drawing from the same stream.
+std::vector<workload::FlowSpec> generate_experiment_flows(
+    const topo::Graph& g, const workload::RackTm& tm, const FctConfig& cfg,
+    Rng& rng);
+
+// Simulated time the cell runs to: the arrival window times drain_factor.
+Time run_deadline(const FctConfig& cfg);
 
 // Runs one (topology, TM, routing) cell of Figure 4. With
 // cfg.net.intra_jobs > 1 the cell runs on the sharded conservative engine

@@ -891,37 +891,6 @@ class HybridLoop : public sim::Checkpointable {
   double peak_post_ = 0;
 };
 
-// Windowed co-simulation drive loop, mirroring run_with_boundaries'
-// checkpoint/audit/cancel semantics at window granularity.
-template <typename Engine>
-bool run_windows(Engine& eng, sim::Simulator& control, HybridLoop& loop,
-                 sim::CheckpointSession* session,
-                 const sim::CheckpointSpec& spec, Time deadline,
-                 Time window) {
-  Time t = eng.now();  // resume point when a snapshot was restored
-  Time last_save = t;
-  while (t < deadline) {
-    const Time w_end = std::min<Time>(deadline, t + window);
-    loop.begin_window(control, t, w_end);
-    eng.run_until(w_end);
-    loop.end_window(t, w_end);
-    t = w_end;
-    if (spec.progress) spec.progress(eng.events_processed());
-    if (session != nullptr && spec.audit) {
-      const sim::AuditReport report = session->audit(eng);
-      if (!report.ok()) throw Error(report.to_string());
-    }
-    if (t >= deadline) break;
-    if (session != nullptr && !spec.path.empty() &&
-        (spec.interval <= 0 || t - last_save >= spec.interval)) {
-      session->save(spec.path, eng);
-      last_save = t;
-    }
-    if (spec.cancel && spec.cancel()) return false;
-  }
-  return true;
-}
-
 std::uint64_t mix_double(sim::HashChain& h, double v) {
   return h.mix(std::bit_cast<std::uint64_t>(v)).value();
 }
@@ -1140,8 +1109,7 @@ HybridResult run_hybrid_experiment_flows(
   HybridLoop loop(cfg, std::move(capacities));
   std::unique_ptr<fault::FaultInjector> injector;
 
-  const Time deadline = static_cast<Time>(
-      static_cast<double>(cfg.fct.flowgen.window) * cfg.fct.drain_factor);
+  const Time deadline = run_deadline(cfg.fct);
   if (faults) {
     loop.attach_faults(g, cut, rg, rs, specs, std::move(fluid_events),
                        cfg.fct.seed, static_cast<double>(link_rate),
@@ -1216,26 +1184,20 @@ HybridResult run_hybrid_experiment_flows(
 
   bool finished = true;
   std::uint64_t packet_events = 0;
-  const auto drive = [&](auto& eng, sim::Simulator& control) {
+  sim::with_engine(net, [&](auto& eng, sim::Simulator& control) {
+    build(control);
     sim::CheckpointSession session(net, config_hash);
     session.add(&driver);
     session.add(&loop);
     if (injector) session.add(injector.get());
-    if (spec.resume && !spec.path.empty()) session.restore(spec.path, eng);
-    finished = run_windows(eng, control, loop, &session, spec, deadline,
-                           window);
+    finished = sim::run_segments(
+        eng, &session, spec, deadline, window, [&](Time t, Time w_end) {
+          loop.begin_window(control, t, w_end);
+          eng.run_until(w_end);
+          loop.end_window(t, w_end);
+        });
     packet_events = eng.events_processed();
-  };
-
-  if (net.sharded()) {
-    sim::ShardedEngine engine(net);
-    build(engine.control());
-    drive(engine, engine.control());
-  } else {
-    sim::Simulator simulator;
-    build(simulator);
-    drive(simulator, simulator);
-  }
+  });
 
   // --- Result assembly (spec order, so sample order is deterministic) ---
   sim::HashChain rh;
@@ -1392,9 +1354,7 @@ HybridResult run_hybrid_experiment(const topo::Graph& g,
                                    const HybridConfig& cfg,
                                    const std::vector<int>* supernode_of) {
   Rng rng(cfg.fct.seed);
-  workload::TmSampler sampler(g, tm);
-  if (cfg.fct.random_placement) sampler.apply_random_placement(rng);
-  const auto specs = workload::generate_flows(sampler, cfg.fct.flowgen, rng);
+  const auto specs = generate_experiment_flows(g, tm, cfg.fct, rng);
   return run_hybrid_experiment_flows(g, specs, cfg, supernode_of);
 }
 

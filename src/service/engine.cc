@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "sim/snapshot.h"
 #include "util/error.h"
 #include "util/fsio.h"
 #include "util/json.h"
@@ -10,12 +11,6 @@
 
 namespace spineless::service {
 namespace {
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) h = (h ^ c) * 0x100000001b3ULL;
-  return h;
-}
 
 std::string hex_u64(std::uint64_t v) {
   static const char* kDigits = "0123456789abcdef";
@@ -142,7 +137,7 @@ std::string Engine::process(Job& job, util::CellContext* ctx) {
   }
 
   const std::uint64_t key =
-      splitmix64(warm_.warm_hash() ^ fnv1a(job.body) ^
+      splitmix64(warm_.warm_hash() ^ sim::fnv1a(job.body) ^
                  static_cast<std::uint64_t>(want == Fidelity::kFluid));
   {
     std::lock_guard<std::mutex> l(mu_);

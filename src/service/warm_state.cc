@@ -30,12 +30,6 @@ constexpr std::uint32_t kBaselineVersion = 1;
 constexpr const char* kWarmFile = "/service_warm.snap";
 constexpr const char* kBaselineFile = "/service_baseline.snap";
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) h = (h ^ c) * 0x100000001b3ULL;
-  return h;
-}
-
 // The packet-level experiment every request (and the warm build)
 // reconstructs. Member declaration order IS the protocol: it fixes the
 // simulator oid sequence and the CheckpointSession part order, so a
@@ -67,26 +61,19 @@ struct PacketExperiment {
     for (const auto& f : flows)
       driver.add_flow(sim, f.src, f.dst, f.bytes, f.start);
   }
-};
 
-// Advances to `deadline` in segments, polling the cooperative cancel hook
-// at quiescent boundaries. Segmentation never changes results (identical
-// event sequence as one run_until call); returns false when canceled.
-bool run_segmented(sim::Simulator& sim, Time deadline,
-                   const std::function<bool()>& cancel) {
-  if (!cancel) {
-    sim.run_until(deadline);
-    return true;
+  // Advances `sim` to `deadline`, polling the cooperative cancel hook at 32
+  // quiescent boundaries; without a hook the run is one segment. Returns
+  // false when canceled.
+  static bool run(sim::Simulator& sim, Time deadline,
+                  const std::function<bool()>& cancel) {
+    sim::CheckpointSpec spec;
+    spec.cancel = cancel;
+    const Time step =
+        cancel ? std::max<Time>(1, (deadline - sim.now()) / 32) : deadline;
+    return sim::run_segments(sim, nullptr, spec, deadline, step);
   }
-  const Time step = std::max<Time>(1, (deadline - sim.now()) / 32);
-  Time t = sim.now();
-  while (t < deadline) {
-    t = std::min<Time>(deadline, t + step);
-    sim.run_until(t);
-    if (t < deadline && cancel()) return false;
-  }
-  return true;
-}
+};
 
 fault::FaultPlan parse_plan(const std::string& spec, const topo::Graph& g,
                             std::uint64_t seed) {
@@ -138,7 +125,7 @@ std::unique_ptr<WarmState> WarmState::build(const ServiceConfig& cfg) {
   fct.seed = ws->cfg_.scenario.seed;
   sim::HashChain h;
   h.mix(core::fct_config_hash(ws->graph_, fct))
-      .mix(fnv1a(ws->cfg_.topology))
+      .mix(sim::fnv1a(ws->cfg_.topology))
       .mix(static_cast<std::uint64_t>(ws->cfg_.warm_time))
       .mix(static_cast<std::uint64_t>(ws->cfg_.horizon))
       .mix(static_cast<std::uint64_t>(ws->cfg_.fault.hello_interval))
@@ -290,7 +277,7 @@ WhatIfResult WarmState::whatif_fault_packet(
   // monitor's sampling events are already in the restored event arrays.
   exp.inj.arm_actions(sim);
 
-  r.finished = run_segmented(sim, cfg_.horizon, cancel);
+  r.finished = PacketExperiment::run(sim, cfg_.horizon, cancel);
 
   const Summary fct = exp.driver.fct_ms();
   r.p50_ms = fct.median();
@@ -393,7 +380,7 @@ WhatIfResult WarmState::whatif_tm(const std::string& tm, double load_scale,
   exp.add_flows(sim, flows);
   exp.inj.arm(sim, cfg_.horizon);
   exp.mon.start(sim, 0, cfg_.horizon);
-  r.finished = run_segmented(sim, cfg_.horizon, cancel);
+  r.finished = PacketExperiment::run(sim, cfg_.horizon, cancel);
 
   const Summary fct = exp.driver.fct_ms();
   r.p50_ms = fct.median();

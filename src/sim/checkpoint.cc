@@ -22,6 +22,108 @@ constexpr std::uint32_t kSectionGlobals = 0x474c424c;  // "GLBL"
 // above that escaped the TTL guard.
 constexpr std::uint64_t kMaxLiveHops = 64;
 
+// The SUMM section's totals, in SummaryField order: save writes them,
+// restore cross-checks the restored state against them, and the auditor
+// checks packet conservation and the TTL bound with them.
+struct SummaryTotals {
+  std::uint64_t now = 0;
+  std::uint64_t processed = 0;
+  std::uint64_t packet_events = 0;  // pending packet-carrying events
+  std::uint64_t queued_nodes = 0;
+  std::uint64_t queued_bytes = 0;
+  std::uint64_t max_hops = 0;  // over in-flight and queued packets
+};
+
+SummaryTotals summary_totals(const EngineView& view, const Network& net,
+                             const SinkRegistry& registry) {
+  SummaryTotals s;
+  s.now = static_cast<std::uint64_t>(view.sim(0).now());
+  for (int i = 0; i < view.num_sims(); ++i) {
+    const Simulator& sim = view.sim(i);
+    s.processed += sim.events_processed();
+    for (const Simulator::Event& e : sim.pending_events()) {
+      if (registry.by_oid(e.sink->event_oid()).kind != CtxKind::kPacketNode)
+        continue;
+      ++s.packet_events;
+      s.max_hops = std::max(
+          s.max_hops, std::uint64_t{
+                          reinterpret_cast<const PacketNode*>(e.ctx)->pkt.hops});
+    }
+  }
+  net.for_each_link([&s](const Link& l) {
+    const Link::QueueAudit a = l.audit_queue();
+    s.queued_nodes += static_cast<std::uint64_t>(a.nodes);
+    s.queued_bytes += static_cast<std::uint64_t>(a.bytes);
+    s.max_hops = std::max(s.max_hops, static_cast<std::uint64_t>(a.max_hops));
+  });
+  return s;
+}
+
+// Live invariant checks against the tally `sum` of the same state; the
+// per-link consistency and event-time checks walk the state themselves.
+AuditReport audit_state(const EngineView& eng, const Network& net,
+                        const SummaryTotals& sum) {
+  AuditReport report;
+  const auto violated = [&report](const std::string& invariant,
+                                  const std::string& detail) {
+    report.violations.push_back({invariant, detail});
+  };
+
+  // Monotonic event time: every pending event fires at or after its
+  // simulator's clock (all clocks are parked at the same boundary).
+  for (int i = 0; i < eng.num_sims(); ++i) {
+    const Simulator& sim = eng.sim(i);
+    for (const Simulator::Event& e : sim.pending_events()) {
+      if (e.t < sim.now()) {
+        std::ostringstream os;
+        os << "pending event at t=" << e.t << " is before now=" << sim.now();
+        violated("monotonic_event_time", os.str());
+      }
+    }
+  }
+
+  // Queue occupancy: per-link byte accounting and busy flags consistent
+  // with the FIFO actually walked.
+  std::size_t link_idx = 0;
+  net.for_each_link([&](const Link& l) {
+    const Link::QueueAudit a = l.audit_queue();
+    if (!a.bytes_consistent) {
+      std::ostringstream os;
+      os << "link #" << link_idx << " queued_bytes counter disagrees with "
+         << "its FIFO contents (" << a.bytes << " walked)";
+      violated("queue_occupancy", os.str());
+    }
+    if (!a.busy_consistent) {
+      std::ostringstream os;
+      os << "link #" << link_idx << " busy flag disagrees with its FIFO";
+      violated("queue_occupancy", os.str());
+    }
+    ++link_idx;
+  });
+
+  // Packet conservation: every pool node either sits in a queue or rides a
+  // pending propagation event; created = delivered + dropped + in-flight
+  // holds because delivery and every drop release the node.
+  const std::int64_t in_use = net.pool_nodes_in_use();
+  if (in_use != static_cast<std::int64_t>(sum.queued_nodes) +
+                    static_cast<std::int64_t>(sum.packet_events)) {
+    std::ostringstream os;
+    os << "pool nodes in use " << in_use << " != queued " << sum.queued_nodes
+       << " + in-flight " << sum.packet_events;
+    violated("packet_conservation", os.str());
+  }
+
+  // TTL: no live packet above the forwarding drop bound — a higher count
+  // means a routing loop escaped the guard.
+  if (sum.max_hops > kMaxLiveHops) {
+    std::ostringstream os;
+    os << "live packet with " << sum.max_hops
+       << " hops exceeds the TTL bound " << kMaxLiveHops;
+    violated("ttl", os.str());
+  }
+  return report;
+}
+
 }  // namespace
 
 void SinkRegistry::add(EventSink* sink, CtxKind kind, int pool_shard) {
@@ -98,22 +200,31 @@ std::string AuditReport::to_string() const {
   return os.str();
 }
 
-// Uniform access to the one-or-many simulators behind an experiment. Index
-// 0 is the serial simulator or the sharded engine's control simulator;
-// 1..num_shards are the shard heaps.
-struct CheckpointSession::EngineView {
-  Simulator* serial = nullptr;
-  ShardedEngine* sharded = nullptr;
+int EngineView::num_sims() const {
+  return serial_ != nullptr ? 1 : sharded_->num_shards() + 1;
+}
 
-  bool is_sharded() const noexcept { return sharded != nullptr; }
-  int num_sims() const {
-    return serial != nullptr ? 1 : sharded->num_shards() + 1;
+Simulator& EngineView::sim(int i) const {
+  if (serial_ != nullptr) return *serial_;
+  return i == 0 ? sharded_->control() : sharded_->shard_mut(i - 1);
+}
+
+Time EngineView::now() const {
+  return serial_ != nullptr ? serial_->now() : sharded_->now();
+}
+
+std::uint64_t EngineView::events_processed() const {
+  return serial_ != nullptr ? serial_->events_processed()
+                            : sharded_->events_processed();
+}
+
+void EngineView::run_until(Time t) const {
+  if (serial_ != nullptr) {
+    serial_->run_until(t);
+  } else {
+    sharded_->run_until(t);
   }
-  Simulator& sim(int i) const {
-    if (serial != nullptr) return *serial;
-    return i == 0 ? sharded->control() : sharded->shard_mut(i - 1);
-  }
-};
+}
 
 CheckpointSession::CheckpointSession(Network& net, std::uint64_t config_hash)
     : net_(net), config_hash_(config_hash) {}
@@ -170,46 +281,21 @@ std::vector<Simulator::Event> CheckpointSession::read_events(
   return events;
 }
 
-std::string CheckpointSession::save_view_bytes(const EngineView& view) {
+std::string CheckpointSession::save_bytes(EngineView eng) {
   build_registry();
   const PacketCodec codec(net_);
   SnapshotWriter w(config_hash_);
 
   // Summary: the redundant totals the restore path (and the negative
-  // tests) cross-check restored state against. Field order must match
-  // SummaryField.
-  std::uint64_t packet_events = 0;
-  std::uint64_t max_hops = 0;
-  for (int i = 0; i < view.num_sims(); ++i) {
-    for (const Simulator::Event& e : view.sim(i).pending_events()) {
-      const SinkRegistry::Entry& entry =
-          registry_.by_oid(e.sink->event_oid());
-      if (entry.kind != CtxKind::kPacketNode) continue;
-      ++packet_events;
-      max_hops = std::max(
-          max_hops, std::uint64_t{
-                        reinterpret_cast<const PacketNode*>(e.ctx)->pkt.hops});
-    }
-  }
-  std::uint64_t queued_nodes = 0;
-  std::uint64_t queued_bytes = 0;
-  std::uint64_t processed = 0;
-  net_.for_each_link([&](const Link& l) {
-    const Link::QueueAudit a = l.audit_queue();
-    queued_nodes += static_cast<std::uint64_t>(a.nodes);
-    queued_bytes += static_cast<std::uint64_t>(a.bytes);
-    max_hops = std::max(max_hops, static_cast<std::uint64_t>(a.max_hops));
-  });
-  for (int i = 0; i < view.num_sims(); ++i)
-    processed += view.sim(i).events_processed();
-
+  // tests) cross-check restored state against.
+  const SummaryTotals sum = summary_totals(eng, net_, registry_);
   w.begin_section(kSectionSummary);
-  w.u64(static_cast<std::uint64_t>(view.sim(0).now()));  // kSummaryNow
-  w.u64(processed);                                      // kSummaryProcessed
-  w.u64(packet_events);  // kSummaryPacketEvents
-  w.u64(queued_nodes);   // kSummaryQueuedNodes
-  w.u64(queued_bytes);   // kSummaryQueuedBytes
-  w.u64(max_hops);       // kSummaryMaxHops
+  w.u64(sum.now);            // kSummaryNow
+  w.u64(sum.processed);      // kSummaryProcessed
+  w.u64(sum.packet_events);  // kSummaryPacketEvents
+  w.u64(sum.queued_nodes);   // kSummaryQueuedNodes
+  w.u64(sum.queued_bytes);   // kSummaryQueuedBytes
+  w.u64(sum.max_hops);       // kSummaryMaxHops
   w.end_section();
 
   // Live priority counters, registry order.
@@ -229,8 +315,8 @@ std::string CheckpointSession::save_view_bytes(const EngineView& view) {
     w.end_section();
   }
 
-  for (int i = 0; i < view.num_sims(); ++i) {
-    const Simulator& sim = view.sim(i);
+  for (int i = 0; i < eng.num_sims(); ++i) {
+    const Simulator& sim = eng.sim(i);
     w.begin_section(kSectionEngine);
     w.i64(sim.now());
     w.u64(sim.events_processed());
@@ -240,31 +326,28 @@ std::string CheckpointSession::save_view_bytes(const EngineView& view) {
     w.end_section();
   }
 
-  if (view.is_sharded()) {
+  if (eng.sharded() != nullptr) {
     w.begin_section(kSectionGlobals);
-    write_events(w, codec, view.sharded->pending_globals());
+    write_events(w, codec, eng.sharded()->pending_globals());
     w.end_section();
   }
 
   return w.seal();
 }
 
-void CheckpointSession::save_view(const std::string& path,
-                                  const EngineView& view) {
-  SPINELESS_CHECK_MSG(util::atomic_write_file(path, save_view_bytes(view)),
+void CheckpointSession::save(const std::string& path, EngineView eng) {
+  SPINELESS_CHECK_MSG(util::atomic_write_file(path, save_bytes(eng)),
                       "checkpoint: failed to write snapshot to " << path);
 }
 
-bool CheckpointSession::restore_view(const std::string& path,
-                                     const EngineView& view) {
+bool CheckpointSession::restore(const std::string& path, EngineView eng) {
   std::string bytes;
   if (!SnapshotReader::load_file(path, &bytes)) return false;
-  restore_view_bytes(std::move(bytes), view);
+  restore_bytes(std::move(bytes), eng);
   return true;
 }
 
-void CheckpointSession::restore_view_bytes(std::string bytes,
-                                           const EngineView& view) {
+void CheckpointSession::restore_bytes(std::string bytes, EngineView eng) {
   SnapshotReader r(std::move(bytes));
   if (r.config_hash() != config_hash_) {
     throw Error(
@@ -274,13 +357,14 @@ void CheckpointSession::restore_view_bytes(std::string bytes,
   build_registry();
   const PacketCodec codec(net_);
 
+  SummaryTotals want;
   r.expect_section(kSectionSummary);
-  const std::uint64_t sum_now = r.u64();
-  const std::uint64_t sum_processed = r.u64();
-  const std::uint64_t sum_packet_events = r.u64();
-  const std::uint64_t sum_queued_nodes = r.u64();
-  const std::uint64_t sum_queued_bytes = r.u64();
-  const std::uint64_t sum_max_hops = r.u64();
+  want.now = r.u64();
+  want.processed = r.u64();
+  want.packet_events = r.u64();
+  want.queued_nodes = r.u64();
+  want.queued_bytes = r.u64();
+  want.max_hops = r.u64();
   r.end_section();
 
   r.expect_section(kSectionPrio);
@@ -301,7 +385,7 @@ void CheckpointSession::restore_view_bytes(std::string bytes,
     r.end_section();
   }
 
-  for (int i = 0; i < view.num_sims(); ++i) {
+  for (int i = 0; i < eng.num_sims(); ++i) {
     r.expect_section(kSectionEngine);
     const Time now = r.i64();
     const std::uint64_t processed = r.u64();
@@ -309,13 +393,13 @@ void CheckpointSession::restore_view_bytes(std::string bytes,
     const std::uint32_t lazy_oid = r.u32();
     std::vector<Simulator::Event> events = read_events(r, codec);
     r.end_section();
-    view.sim(i).restore_state(now, processed, root_key, lazy_oid,
-                              std::move(events));
+    eng.sim(i).restore_state(now, processed, root_key, lazy_oid,
+                             std::move(events));
   }
 
-  if (view.is_sharded()) {
+  if (eng.sharded() != nullptr) {
     r.expect_section(kSectionGlobals);
-    view.sharded->restore_globals(read_events(r, codec));
+    eng.sharded()->restore_globals(read_events(r, codec));
     r.end_section();
   }
   SPINELESS_CHECK_MSG(r.at_end(), "checkpoint: trailing sections in snapshot");
@@ -323,208 +407,87 @@ void CheckpointSession::restore_view_bytes(std::string bytes,
   // Cross-check the restored state against the snapshot's own summary —
   // this is what turns a corrupted-but-checksum-valid snapshot (or a state
   // bug) into a named invariant violation instead of a wrong result.
-  AuditReport report = audit_view(view);
+  const SummaryTotals got = summary_totals(eng, net_, registry_);
+  AuditReport report = audit_state(eng, net_, got);
   const auto violated = [&report](const std::string& invariant,
                                   const std::string& detail) {
     report.violations.push_back({invariant, detail});
   };
-  if (static_cast<std::uint64_t>(view.sim(0).now()) != sum_now) {
+  if (got.now != want.now) {
     std::ostringstream os;
-    os << "restored clock " << view.sim(0).now()
-       << " != snapshot summary now " << sum_now;
+    os << "restored clock " << got.now << " != snapshot summary now "
+       << want.now;
     violated("monotonic_event_time", os.str());
   }
-  std::uint64_t processed = 0;
-  for (int i = 0; i < view.num_sims(); ++i)
-    processed += view.sim(i).events_processed();
-  if (processed != sum_processed) {
+  if (got.processed != want.processed) {
     std::ostringstream os;
-    os << "restored event count " << processed << " != snapshot summary "
-       << sum_processed;
+    os << "restored event count " << got.processed << " != snapshot summary "
+       << want.processed;
     violated("monotonic_event_time", os.str());
   }
-  std::uint64_t packet_events = 0;
-  for (int i = 0; i < view.num_sims(); ++i)
-    for (const Simulator::Event& e : view.sim(i).pending_events())
-      if (registry_.by_oid(e.sink->event_oid()).kind == CtxKind::kPacketNode)
-        ++packet_events;
-  std::uint64_t queued_nodes = 0;
-  std::uint64_t queued_bytes = 0;
-  std::uint64_t max_hops = 0;
-  net_.for_each_link([&](const Link& l) {
-    const Link::QueueAudit a = l.audit_queue();
-    queued_nodes += static_cast<std::uint64_t>(a.nodes);
-    queued_bytes += static_cast<std::uint64_t>(a.bytes);
-    max_hops = std::max(max_hops, static_cast<std::uint64_t>(a.max_hops));
-  });
-  if (packet_events != sum_packet_events ||
-      queued_nodes != sum_queued_nodes) {
+  if (got.packet_events != want.packet_events ||
+      got.queued_nodes != want.queued_nodes) {
     std::ostringstream os;
-    os << "restored in-flight " << packet_events << " + queued "
-       << queued_nodes << " packets != snapshot summary "
-       << sum_packet_events << " + " << sum_queued_nodes;
+    os << "restored in-flight " << got.packet_events << " + queued "
+       << got.queued_nodes << " packets != snapshot summary "
+       << want.packet_events << " + " << want.queued_nodes;
     violated("packet_conservation", os.str());
   }
-  if (queued_bytes != sum_queued_bytes) {
+  if (got.queued_bytes != want.queued_bytes) {
     std::ostringstream os;
-    os << "restored queue occupancy " << queued_bytes
-       << " bytes != snapshot summary " << sum_queued_bytes;
+    os << "restored queue occupancy " << got.queued_bytes
+       << " bytes != snapshot summary " << want.queued_bytes;
     violated("queue_occupancy", os.str());
   }
-  if (sum_max_hops > kMaxLiveHops) {
+  if (want.max_hops > kMaxLiveHops) {
     std::ostringstream os;
-    os << "snapshot summary max hops " << sum_max_hops
+    os << "snapshot summary max hops " << want.max_hops
        << " exceeds the TTL bound " << kMaxLiveHops;
     violated("ttl", os.str());
   }
-  if (max_hops > sum_max_hops) {
+  if (got.max_hops > want.max_hops) {
     std::ostringstream os;
-    os << "restored packet with " << max_hops
-       << " hops exceeds snapshot summary " << sum_max_hops;
+    os << "restored packet with " << got.max_hops
+       << " hops exceeds snapshot summary " << want.max_hops;
     violated("ttl", os.str());
   }
   if (!report.ok()) throw Error("checkpoint restore: " + report.to_string());
 }
 
-AuditReport CheckpointSession::audit_view(const EngineView& view) {
-  AuditReport report;
-  const auto violated = [&report](const std::string& invariant,
-                                  const std::string& detail) {
-    report.violations.push_back({invariant, detail});
-  };
-
-  // Monotonic event time: every pending event fires at or after its
-  // simulator's clock (all clocks are parked at the same boundary).
-  std::uint64_t packet_events = 0;
-  std::uint64_t max_hops = 0;
-  for (int i = 0; i < view.num_sims(); ++i) {
-    const Simulator& sim = view.sim(i);
-    for (const Simulator::Event& e : sim.pending_events()) {
-      if (e.t < sim.now()) {
-        std::ostringstream os;
-        os << "pending event at t=" << e.t << " is before now=" << sim.now();
-        violated("monotonic_event_time", os.str());
-      }
-      const SinkRegistry::Entry& entry =
-          registry_.by_oid(e.sink->event_oid());
-      if (entry.kind != CtxKind::kPacketNode) continue;
-      ++packet_events;
-      max_hops = std::max(
-          max_hops, std::uint64_t{
-                        reinterpret_cast<const PacketNode*>(e.ctx)->pkt.hops});
-    }
-  }
-
-  // Queue occupancy: per-link byte accounting and busy flags consistent,
-  // totals non-negative.
-  std::uint64_t queued_nodes = 0;
-  std::size_t link_idx = 0;
-  net_.for_each_link([&](const Link& l) {
-    const Link::QueueAudit a = l.audit_queue();
-    queued_nodes += static_cast<std::uint64_t>(a.nodes);
-    max_hops = std::max(max_hops, static_cast<std::uint64_t>(a.max_hops));
-    if (!a.bytes_consistent) {
-      std::ostringstream os;
-      os << "link #" << link_idx << " queued_bytes counter disagrees with "
-         << "its FIFO contents (" << a.bytes << " walked)";
-      violated("queue_occupancy", os.str());
-    }
-    if (!a.busy_consistent) {
-      std::ostringstream os;
-      os << "link #" << link_idx << " busy flag disagrees with its FIFO";
-      violated("queue_occupancy", os.str());
-    }
-    ++link_idx;
-  });
-
-  // Packet conservation: every pool node either sits in a queue or rides a
-  // pending propagation event; created = delivered + dropped + in-flight
-  // holds because delivery and every drop release the node.
-  const std::int64_t in_use = net_.pool_nodes_in_use();
-  if (in_use !=
-      static_cast<std::int64_t>(queued_nodes) +
-          static_cast<std::int64_t>(packet_events)) {
-    std::ostringstream os;
-    os << "pool nodes in use " << in_use << " != queued " << queued_nodes
-       << " + in-flight " << packet_events;
-    violated("packet_conservation", os.str());
-  }
-
-  // TTL: no live packet above the forwarding drop bound — a higher count
-  // means a routing loop escaped the guard.
-  if (max_hops > kMaxLiveHops) {
-    std::ostringstream os;
-    os << "live packet with " << max_hops << " hops exceeds the TTL bound "
-       << kMaxLiveHops;
-    violated("ttl", os.str());
-  }
-  return report;
-}
-
-void CheckpointSession::save(const std::string& path, const Simulator& sim) {
-  EngineView view;
-  // Save only reads; the view is shared with the mutating restore path.
-  view.serial = const_cast<Simulator*>(&sim);
-  save_view(path, view);
-}
-
-void CheckpointSession::save(const std::string& path,
-                             const ShardedEngine& eng) {
-  EngineView view;
-  view.sharded = const_cast<ShardedEngine*>(&eng);
-  save_view(path, view);
-}
-
-bool CheckpointSession::restore(const std::string& path, Simulator& sim) {
-  EngineView view;
-  view.serial = &sim;
-  return restore_view(path, view);
-}
-
-bool CheckpointSession::restore(const std::string& path, ShardedEngine& eng) {
-  EngineView view;
-  view.sharded = &eng;
-  return restore_view(path, view);
-}
-
-std::string CheckpointSession::save_bytes(const Simulator& sim) {
-  EngineView view;
-  view.serial = const_cast<Simulator*>(&sim);
-  return save_view_bytes(view);
-}
-
-std::string CheckpointSession::save_bytes(const ShardedEngine& eng) {
-  EngineView view;
-  view.sharded = const_cast<ShardedEngine*>(&eng);
-  return save_view_bytes(view);
-}
-
-void CheckpointSession::restore_bytes(const std::string& bytes,
-                                      Simulator& sim) {
-  EngineView view;
-  view.serial = &sim;
-  restore_view_bytes(bytes, view);
-}
-
-void CheckpointSession::restore_bytes(const std::string& bytes,
-                                      ShardedEngine& eng) {
-  EngineView view;
-  view.sharded = &eng;
-  restore_view_bytes(bytes, view);
-}
-
-AuditReport CheckpointSession::audit(const Simulator& sim) {
-  EngineView view;
-  view.serial = const_cast<Simulator*>(&sim);
+AuditReport CheckpointSession::audit(EngineView eng) {
   build_registry();
-  return audit_view(view);
+  return audit_state(eng, net_, summary_totals(eng, net_, registry_));
 }
 
-AuditReport CheckpointSession::audit(const ShardedEngine& eng) {
-  EngineView view;
-  view.sharded = const_cast<ShardedEngine*>(&eng);
-  build_registry();
-  return audit_view(view);
+bool run_segments(EngineView eng, CheckpointSession* session,
+                  const CheckpointSpec& spec, Time deadline, Time step,
+                  const std::function<void(Time, Time)>& segment) {
+  if (session != nullptr && spec.resume && !spec.path.empty())
+    session->restore(spec.path, eng);
+  Time t = eng.now();  // resume point when a snapshot was restored
+  Time last_save = t;
+  while (t < deadline) {
+    const Time w_end = std::min<Time>(deadline, t + step);
+    if (segment) {
+      segment(t, w_end);
+    } else {
+      eng.run_until(w_end);
+    }
+    t = w_end;
+    if (spec.progress) spec.progress(eng.events_processed());
+    if (session != nullptr && spec.audit) {
+      const AuditReport report = session->audit(eng);
+      if (!report.ok()) throw Error(report.to_string());
+    }
+    if (t >= deadline) break;  // complete: no snapshot needed
+    if (session != nullptr && !spec.path.empty() &&
+        (spec.interval <= 0 || t - last_save >= spec.interval)) {
+      session->save(spec.path, eng);
+      last_save = t;
+    }
+    if (spec.cancel && spec.cancel()) return false;
+  }
+  return true;
 }
 
 std::string section_tag_name(std::uint32_t tag) {

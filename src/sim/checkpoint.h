@@ -139,16 +139,33 @@ struct AuditReport {
 // cooperative cancellation / progress hooks the self-healing runner uses.
 struct CheckpointSpec {
   std::string path;       // empty = no checkpoint file
-  Time interval = 0;      // sim-time between checkpoints; 0 = one segment
+  Time interval = 0;      // sim-time between snapshots; 0 = every boundary
   bool resume = false;    // restore from `path` if it exists
   bool audit = false;     // run the invariant auditor at each boundary
   std::function<bool()> cancel;  // polled at boundaries; true = stop early
   std::function<void(std::uint64_t events)> progress;  // watchdog heartbeat
+};
 
-  bool enabled() const noexcept {
-    return !path.empty() || audit || interval > 0 ||
-           static_cast<bool>(cancel) || static_cast<bool>(progress);
-  }
+// The one-or-many simulators behind an experiment, viewed uniformly. Index
+// 0 is the serial simulator or the sharded engine's control simulator;
+// 1..num_shards are the shard heaps. Converts implicitly from either
+// engine, so the session and run_segments take both without overloads.
+class EngineView {
+ public:
+  EngineView(Simulator& sim) noexcept : serial_(&sim) {}
+  EngineView(ShardedEngine& eng) noexcept : sharded_(&eng) {}
+
+  int num_sims() const;
+  Simulator& sim(int i) const;
+  ShardedEngine* sharded() const noexcept { return sharded_; }
+
+  Time now() const;
+  std::uint64_t events_processed() const;
+  void run_until(Time t) const;
+
+ private:
+  Simulator* serial_ = nullptr;
+  ShardedEngine* sharded_ = nullptr;
 };
 
 // Orchestrates save/restore/audit for one experiment: the Network plus any
@@ -163,14 +180,12 @@ class CheckpointSession {
   // Registration order is serialization order; keep it construction order.
   void add(Checkpointable* part) { parts_.push_back(part); }
 
-  void save(const std::string& path, const Simulator& sim);
-  void save(const std::string& path, const ShardedEngine& eng);
+  void save(const std::string& path, EngineView eng);
 
   // False: no snapshot at `path` (start from scratch). Throws on a corrupt
   // or configuration-mismatched snapshot, and when the restored state
   // violates the snapshot's own summary invariants (see audit()).
-  bool restore(const std::string& path, Simulator& sim);
-  bool restore(const std::string& path, ShardedEngine& eng);
+  bool restore(const std::string& path, EngineView eng);
 
   // Request-granularity checkpoint reuse (the serving layer): seal a
   // snapshot to resident bytes without touching disk, and restore from
@@ -178,27 +193,17 @@ class CheckpointSession {
   // the file paths above — save(path) is exactly save_bytes + an atomic
   // write, so a warm checkpoint kept in RAM and one reloaded from disk
   // after a crash restore byte-identically.
-  std::string save_bytes(const Simulator& sim);
-  std::string save_bytes(const ShardedEngine& eng);
-  void restore_bytes(const std::string& bytes, Simulator& sim);
-  void restore_bytes(const std::string& bytes, ShardedEngine& eng);
+  std::string save_bytes(EngineView eng);
+  void restore_bytes(std::string bytes, EngineView eng);
 
   // Live invariant checks at a quiescent boundary: packet conservation
   // (pool in_use == queued nodes + in-flight packet events), monotonic
   // event time (no pending event before now), non-negative / consistent
   // queue occupancy, and TTL bounds on every live packet.
-  AuditReport audit(const Simulator& sim);
-  AuditReport audit(const ShardedEngine& eng);
+  AuditReport audit(EngineView eng);
 
  private:
-  struct EngineView;  // uniform serial/sharded access, see checkpoint.cc
-
   void build_registry();
-  std::string save_view_bytes(const EngineView& view);
-  void save_view(const std::string& path, const EngineView& view);
-  void restore_view_bytes(std::string bytes, const EngineView& view);
-  bool restore_view(const std::string& path, const EngineView& view);
-  AuditReport audit_view(const EngineView& view);
   void write_events(SnapshotWriter& w, const PacketCodec& codec,
                     const std::vector<Simulator::Event>& events) const;
   std::vector<Simulator::Event> read_events(SnapshotReader& r,
@@ -209,6 +214,21 @@ class CheckpointSession {
   std::vector<Checkpointable*> parts_;
   SinkRegistry registry_;
 };
+
+// The quiescent-boundary protocol every long run follows. Restores from
+// spec.path first when spec.resume is set, then advances to `deadline` in
+// segments of `step`; each segment is segment(t, w_end), by default
+// eng.run_until(w_end). At every boundary, in this order: the progress
+// heartbeat, the auditor (throws on a violation), stop at the deadline,
+// a snapshot to spec.path (every boundary when spec.interval <= 0, else
+// once at least spec.interval has passed since the last one), then the
+// cancel poll. `session` may be null: no restore, audit or snapshot.
+// Segmenting never changes results — repeated run_until calls execute the
+// event sequence one call would. Returns false when spec.cancel stopped
+// the run early (after that boundary's snapshot, when spec.path is set).
+bool run_segments(EngineView eng, CheckpointSession* session,
+                  const CheckpointSpec& spec, Time deadline, Time step,
+                  const std::function<void(Time, Time)>& segment = {});
 
 // Summary-section field indices, shared with the auditor's negative tests
 // (snapshot_patch_u64 targets these by index).

@@ -338,4 +338,17 @@ class ShardedEngine : public ShardRouter {
   std::vector<std::thread> threads_;
 };
 
+// Builds the engine `net` is configured for — a ShardedEngine when it is
+// sharded, else a serial Simulator — and returns body(engine, control),
+// where control is the simulator that setup events are scheduled through.
+template <typename Body>
+decltype(auto) with_engine(Network& net, Body&& body) {
+  if (net.sharded()) {
+    ShardedEngine engine(net);
+    return body(engine, engine.control());
+  }
+  Simulator simulator;
+  return body(simulator, simulator);
+}
+
 }  // namespace spineless::sim

@@ -18,6 +18,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace spineless::sim {
@@ -25,6 +26,10 @@ namespace spineless::sim {
 inline constexpr char kSnapshotMagic[8] = {'S', 'P', 'N', 'L',
                                            'C', 'K', 'P', 'T'};
 inline constexpr std::uint32_t kSnapshotVersion = 1;
+
+// 64-bit FNV-1a over `bytes` in order: the snapshot checksum, and the
+// serving layer's content hashes.
+std::uint64_t fnv1a(std::string_view bytes) noexcept;
 
 // Order-sensitive chained hash for building config_hash values: a snapshot
 // is only restorable into an identically-configured experiment (same seed,

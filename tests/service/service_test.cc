@@ -160,6 +160,36 @@ TEST(WarmState, FaultWhatIfDetectsAndReportsOutage) {
   EXPECT_GT(r.goodput_recovery, 0.5);
 }
 
+TEST(WarmState, CancelHookSegmentsWithoutChangingTheAnswer) {
+  // A hook that never fires splits the run into polled segments; the
+  // answer must equal the one-segment run's exactly. One that always
+  // fires stops the run at the first boundary.
+  const WarmState& warm = shared_warm();
+  const std::string spec = "flap link=5 down=1ms up=3ms";
+  const WhatIfResult one = warm.whatif_fault_packet(spec, 0, nullptr);
+  int polls = 0;
+  const WhatIfResult polled = warm.whatif_fault_packet(spec, 0, [&polls] {
+    ++polls;
+    return false;
+  });
+  EXPECT_GT(polls, 0);
+  EXPECT_TRUE(polled.finished);
+  EXPECT_EQ(polled.p50_ms, one.p50_ms);
+  EXPECT_EQ(polled.p99_ms, one.p99_ms);
+  EXPECT_EQ(polled.flows, one.flows);
+  EXPECT_EQ(polled.completed, one.completed);
+  EXPECT_EQ(polled.delta_p50_ms, one.delta_p50_ms);
+  EXPECT_EQ(polled.delta_p99_ms, one.delta_p99_ms);
+  EXPECT_EQ(polled.blackhole_s, one.blackhole_s);
+  EXPECT_EQ(polled.outages, one.outages);
+  EXPECT_EQ(polled.detect_ms, one.detect_ms);
+  EXPECT_EQ(polled.goodput_recovery, one.goodput_recovery);
+
+  const WhatIfResult canceled =
+      warm.whatif_fault_packet(spec, 0, [] { return true; });
+  EXPECT_FALSE(canceled.finished);
+}
+
 TEST(WarmState, FaultInsideWarmPrefixIsRejected) {
   // warm_time defaults to 500us: a what-if fault cannot land inside the
   // already-simulated prefix.

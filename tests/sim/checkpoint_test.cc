@@ -155,47 +155,68 @@ TEST(Checkpoint, ConfigHashMismatchIsRefused) {
 // --- Auditor negative tests -------------------------------------------------
 // Corrupt one summary field of a real snapshot (checksum re-sealed, so only
 // the cross-check can catch it) and assert the restore throws the *named*
-// invariant.
+// invariant — on the serial engine and on the sharded one, which share one
+// engine view and one summary tally.
 
 class CheckpointAuditNegative : public ::testing::Test {
  protected:
+  struct Cell {
+    int intra = 1;
+    std::string path;
+    std::string pristine;
+  };
+
   void SetUp() override {
-    // Unique per test: ctest runs each TEST_F as its own process, possibly
-    // concurrently — a shared snapshot path is a cross-process race.
-    path_ = tmp_path(std::string("audit_") +
-                     ::testing::UnitTest::GetInstance()
-                         ->current_test_info()
-                         ->name());
-    util::remove_file(path_);
-    auto cfg = small_cfg(1);
-    cfg.checkpoint.path = path_;
-    cfg.checkpoint.cancel = [] { return true; };
-    ASSERT_FALSE(core::run_fct_experiment(g_, tm_, cfg).finished);
-    ASSERT_TRUE(util::read_file(path_, &pristine_));
+    for (const int intra : {1, 2}) {
+      // Unique per test: ctest runs each TEST_F as its own process, possibly
+      // concurrently — a shared snapshot path is a cross-process race.
+      Cell c;
+      c.intra = intra;
+      c.path = tmp_path(std::string("audit_") +
+                        ::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name() +
+                        "_intra" + std::to_string(intra));
+      util::remove_file(c.path);
+      auto cfg = small_cfg(intra);
+      cfg.checkpoint.path = c.path;
+      cfg.checkpoint.cancel = [] { return true; };
+      ASSERT_FALSE(core::run_fct_experiment(g_, tm_, cfg).finished);
+      ASSERT_TRUE(util::read_file(c.path, &c.pristine));
+      cells_.push_back(std::move(c));
+    }
   }
-  void TearDown() override { util::remove_file(path_); }
+  void TearDown() override {
+    for (const Cell& c : cells_) util::remove_file(c.path);
+  }
+
+  core::FctConfig resume_cfg(const Cell& c) const {
+    auto cfg = small_cfg(c.intra);
+    cfg.checkpoint.path = c.path;
+    cfg.checkpoint.resume = true;
+    return cfg;
+  }
 
   void expect_violation(SummaryField field, std::uint64_t value,
                         const std::string& invariant) {
-    ASSERT_TRUE(util::atomic_write_file(path_, pristine_));
-    snapshot_patch_u64(path_, kSectionSummary, field, value);
-    auto cfg = small_cfg(1);
-    cfg.checkpoint.path = path_;
-    cfg.checkpoint.resume = true;
-    try {
-      core::run_fct_experiment(g_, tm_, cfg);
-      FAIL() << "restore accepted a snapshot with corrupted " << invariant;
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("[" + invariant + "]"),
-                std::string::npos)
-          << e.what();
+    for (const Cell& c : cells_) {
+      SCOPED_TRACE("intra_jobs=" + std::to_string(c.intra));
+      ASSERT_TRUE(util::atomic_write_file(c.path, c.pristine));
+      snapshot_patch_u64(c.path, kSectionSummary, field, value);
+      try {
+        core::run_fct_experiment(g_, tm_, resume_cfg(c));
+        FAIL() << "restore accepted a snapshot with corrupted " << invariant;
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("[" + invariant + "]"),
+                  std::string::npos)
+            << e.what();
+      }
     }
   }
 
   topo::Graph g_ = topo::make_leaf_spine(6, 2);
   workload::RackTm tm_ = workload::RackTm::uniform(g_);
-  std::string path_;
-  std::string pristine_;
+  std::vector<Cell> cells_;
 };
 
 TEST_F(CheckpointAuditNegative, CorruptedClockNamesMonotonicEventTime) {
@@ -223,13 +244,13 @@ TEST_F(CheckpointAuditNegative, CorruptedHopCountNamesTtl) {
 }
 
 TEST_F(CheckpointAuditNegative, BitFlipFailsTheChecksum) {
-  std::string bytes = pristine_;
-  bytes[bytes.size() / 2] ^= 0x40;
-  ASSERT_TRUE(util::atomic_write_file(path_, bytes));
-  auto cfg = small_cfg(1);
-  cfg.checkpoint.path = path_;
-  cfg.checkpoint.resume = true;
-  EXPECT_THROW(core::run_fct_experiment(g_, tm_, cfg), Error);
+  for (const Cell& c : cells_) {
+    SCOPED_TRACE("intra_jobs=" + std::to_string(c.intra));
+    std::string bytes = c.pristine;
+    bytes[bytes.size() / 2] ^= 0x40;
+    ASSERT_TRUE(util::atomic_write_file(c.path, bytes));
+    EXPECT_THROW(core::run_fct_experiment(g_, tm_, resume_cfg(c)), Error);
+  }
 }
 
 // --- Fault-injection round trip ---------------------------------------------
@@ -249,7 +270,9 @@ struct FaultPrint {
   bool operator==(const FaultPrint&) const = default;
 };
 
-// interrupt_at: boundary index after which to save + stop (-1 = never).
+// interrupt_at: boundary index after which to stop (-1 = never). With a
+// path, every boundary snapshots to it, so a stopped run leaves its resume
+// point there.
 FaultPrint run_fault_cell(int intra, int interrupt_at,
                           const std::string& path, bool resume) {
   const auto d = topo::make_dring(6, 2, 2);
@@ -272,46 +295,27 @@ FaultPrint run_fault_cell(int intra, int interrupt_at,
   session.add(&inj);
   session.add(&mon);
 
-  const auto setup = [&](Simulator& sim) {
-    const int hosts = d.graph.total_servers();
-    for (int i = 0; i < 12; ++i)
-      driver.add_flow(sim, i % hosts, (i * 5 + 3) % hosts, 4'000'000,
-                      i * units::kMicrosecond);
-    inj.arm(sim, kFaultDeadline);
-    mon.start(sim, 0, kFaultDeadline);
-  };
-  const auto drive = [&](auto& eng) {
-    if (resume) session.restore(path, eng);
-    const Time step = kFaultDeadline / 6;
-    Time t = eng.now();
-    int boundary = 0;
-    while (t < kFaultDeadline) {
-      t = std::min<Time>(kFaultDeadline, t + step);
-      eng.run_until(t);
-      const AuditReport report = session.audit(eng);
-      if (!report.ok()) throw Error(report.to_string());
-      if (t >= kFaultDeadline) break;
-      if (++boundary == interrupt_at) {
-        session.save(path, eng);
-        return false;
-      }
-    }
-    return true;
-  };
+  CheckpointSpec spec;
+  spec.path = path;
+  spec.resume = resume;
+  spec.audit = true;
+  int boundary = 0;
+  if (interrupt_at >= 0)
+    spec.cancel = [&] { return ++boundary == interrupt_at; };
 
   FaultPrint out;
-  bool finished = false;
-  if (intra == 1) {
-    Simulator sim;
-    setup(sim);
-    finished = drive(sim);
-    out.events = sim.events_processed();
-  } else {
-    ShardedEngine engine(net);
-    setup(engine.control());
-    finished = drive(engine);
-    out.events = engine.events_processed();
-  }
+  const bool finished = with_engine(net, [&](auto& eng, Simulator& control) {
+    const int hosts = d.graph.total_servers();
+    for (int i = 0; i < 12; ++i)
+      driver.add_flow(control, i % hosts, (i * 5 + 3) % hosts, 4'000'000,
+                      i * units::kMicrosecond);
+    inj.arm(control, kFaultDeadline);
+    mon.start(control, 0, kFaultDeadline);
+    const bool done =
+        run_segments(eng, &session, spec, kFaultDeadline, kFaultDeadline / 6);
+    out.events = eng.events_processed();
+    return done;
+  });
   if (!finished) return out;  // caller resumes; counters are partial
 
   const auto stats = net.stats();
