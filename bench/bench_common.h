@@ -12,6 +12,12 @@
 // their index and results are collected in index order. Each bench writes
 // a machine-readable BENCH_<name>.json next to the working directory
 // (override the path with --json_out=...).
+//
+// Every row of that JSON is a Cell. for_each_field lists a Cell's fields
+// once, with their JSON and sweep-journal keys; the JSON writer and the
+// journal encoder and decoder (cell_to_fields / cell_from_fields) walk that
+// list and name no field themselves. fct_cell, hybrid_cell and
+// hybrid_fault_cell copy an experiment result into a Cell.
 #pragma once
 
 #include <algorithm>
@@ -23,6 +29,7 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -155,75 +162,255 @@ auto sweep(core::Runner& runner, std::size_t n, Fn&& fn)
   });
 }
 
+// One BENCH result row. Sections (fct, hybrid, ...) are present when their
+// has_* flag is set; which benches fill which is noted per section.
+struct Cell {
+  std::string label;
+  double wall_s = 0;
+  std::uint64_t events = 0;
+  int intra_jobs = 1;
+  double table_build_s = 0;
+  // Self-healing runner outcome. Emitted only when non-default so a clean
+  // run's JSON is byte-identical with or without the resilient path.
+  std::string status = "ok";  // "ok" | "failed" | "interrupted"
+  int attempts = 1;
+  std::string error;
+  bool has_fct = false;
+  std::size_t flows = 0;
+  std::size_t completed = 0;
+  double p50_ms = 0;
+  double p99_ms = 0;
+  std::int64_t drops = 0;
+  std::int64_t retransmits = 0;
+  // Fault-injection cells (bench_failures part 3): degradation metrics
+  // from the FaultInjector / DegradationMonitor pair.
+  bool has_fault = false;
+  double blackhole_s = 0;
+  double detect_ms = -1;  // first outage: BFD detection delay
+  double outage_ms = -1;  // first outage: until tables routed around it
+  std::int64_t blackhole_drops = 0;
+  std::int64_t gray_drops = 0;
+  std::int64_t corrupt_drops = 0;
+  std::size_t rescued_flows = 0;   // completed only thanks to an RTO
+  double goodput_recovery = 0;     // post-restore / pre-fault goodput
+  int undetected_gray_windows = 0;
+  std::size_t fault_outages = 0;   // control-plane outage events observed
+  std::size_t fault_completed = 0;
+  std::size_t fault_flows = 0;
+  // Hybrid packet/fluid cells (bench_hybrid, bench_fig6_scale --scale=rng):
+  // the per-flow byte-identity fingerprint plus the co-simulation split.
+  bool has_hybrid = false;
+  std::uint64_t result_hash = 0;
+  std::uint64_t fluid_windows = 0;
+  std::uint64_t fluid_solves = 0;
+  std::uint64_t fluid_solves_skipped = 0;
+  std::size_t internal_flows = 0;
+  std::size_t boundary_flows = 0;
+  std::size_t external_flows = 0;
+  int region_switches = 0;
+  int cut_links = 0;
+  // Whole-network fault-tolerance cells (bench_hybrid --faults): the
+  // cross-boundary fault metrics from HybridResult. goodput_recovery is
+  // shared with the packet-fault block above — a cell is one or the other.
+  bool has_hybrid_fault = false;
+  int failed_links = 0;
+  std::size_t stalled_flows = 0;
+  std::size_t boundary_repins = 0;
+  std::size_t fluid_outages = 0;
+  double fluid_blackhole_s = 0;
+  double stalled_s = 0;
+  // Calibration cells (bench_hybrid): the pure-packet reference and the
+  // hybrid/packet FCT ratios the documented tolerance is judged against.
+  bool has_calib = false;
+  double packet_p50_ms = 0;
+  double packet_p99_ms = 0;
+  double p50_ratio = 0;
+  double p99_ratio = 0;
+};
+
+// The JSON key of a Cell field or section, and its sweep-journal key. They
+// agree except where a journal key predates the JSON name; those stay as
+// they are so journals written by older builds still resume.
+struct FieldKey {
+  // Implicit, so a field whose keys agree is written as a plain "key".
+  FieldKey(const char* key) : json(key), journal(key) {}
+  FieldKey(const char* json_key, const char* journal_key)
+      : json(json_key), journal(journal_key) {}
+  const char* json;
+  const char* journal;
+};
+
+// The one list of Cell fields, in JSON order; the JSON writer, the journal
+// encoder and the journal decoder below are visitors over it. For each
+// field v.field(key, member, emit) — emit false leaves it out of the JSON
+// and the journal (the decoder then keeps the member's default). A section
+// is v.section(key, has_flag, body): written only when the flag is set,
+// journaled as key.journal = "1". v.derived names a JSON-only value.
+template <class C, class V>
+void for_each_field(C& c, V&& v) {
+  v.field("label", c.label);
+  v.field("wall_s", c.wall_s);
+  v.field("events", c.events);
+  v.derived("events_per_sec",
+            c.wall_s > 0 ? static_cast<double>(c.events) / c.wall_s : 0.0);
+  v.field("intra_jobs", c.intra_jobs);
+  v.field("status", c.status, c.status != "ok");
+  v.field("error", c.error, c.status != "ok" && !c.error.empty());
+  v.field("attempts", c.attempts, c.attempts > 1);
+  v.field("table_build_s", c.table_build_s, c.table_build_s > 0);
+  v.section("fct", c.has_fct, [&] {
+    v.field("flows", c.flows);
+    v.field("completed", c.completed);
+    v.field("p50_ms", c.p50_ms);
+    v.field("p99_ms", c.p99_ms);
+    v.field("drops", c.drops);
+    v.field("retransmits", c.retransmits);
+  });
+  v.section("hybrid", c.has_hybrid, [&] {
+    v.field("result_hash", c.result_hash);
+    v.field("fluid_windows", c.fluid_windows);
+    v.field("fluid_solves", c.fluid_solves);
+    v.field("fluid_solves_skipped", c.fluid_solves_skipped);
+    v.field("internal_flows", c.internal_flows);
+    v.field("boundary_flows", c.boundary_flows);
+    v.field("external_flows", c.external_flows);
+    v.field("region_switches", c.region_switches);
+    v.field("cut_links", c.cut_links);
+  });
+  v.section({"fault_tolerance", "hybrid_fault"}, c.has_hybrid_fault, [&] {
+    v.field("failed_links", c.failed_links);
+    v.field("fluid_outages", c.fluid_outages);
+    v.field("stalled_flows", c.stalled_flows);
+    v.field("boundary_repins", c.boundary_repins);
+    v.field("fluid_blackhole_s", c.fluid_blackhole_s);
+    v.field("stalled_s", c.stalled_s);
+    v.field("goodput_recovery", c.goodput_recovery);
+  });
+  v.section({"calibration", "calib"}, c.has_calib, [&] {
+    v.field("packet_p50_ms", c.packet_p50_ms);
+    v.field("packet_p99_ms", c.packet_p99_ms);
+    v.field("p50_ratio", c.p50_ratio);
+    v.field("p99_ratio", c.p99_ratio);
+  });
+  v.section("fault", c.has_fault, [&] {
+    v.field("blackhole_s", c.blackhole_s);
+    v.field("detect_ms", c.detect_ms);
+    v.field("outage_ms", c.outage_ms);
+    v.field("blackhole_drops", c.blackhole_drops);
+    v.field("gray_drops", c.gray_drops);
+    v.field("corrupt_drops", c.corrupt_drops);
+    v.field("rescued_flows", c.rescued_flows);
+    v.field("goodput_recovery", c.goodput_recovery);
+    v.field({"undetected_gray_windows", "undetected_gray"},
+            c.undetected_gray_windows);
+    v.field("ctrl_outages", c.fault_outages);
+    v.field({"completed", "fault_completed"}, c.fault_completed);
+    v.field({"flows", "fault_flows"}, c.fault_flows);
+  });
+}
+
+// The FCT part of a cell, copied from an FctResult or a HybridResult (they
+// name these members alike). `events` is the packet-event count, which the
+// two results name differently.
+template <class R>
+Cell fct_cell(const std::string& label, const R& r, std::uint64_t events) {
+  Cell c;
+  c.label = label;
+  c.events = events;
+  c.intra_jobs = r.intra_jobs;
+  c.table_build_s = r.table_build_s;
+  c.has_fct = true;
+  c.flows = r.flows;
+  c.completed = r.completed;
+  c.p50_ms = r.median_ms();
+  c.p99_ms = r.p99_ms();
+  c.drops = r.queue_drops;
+  c.retransmits = r.retransmits;
+  return c;
+}
+
+namespace detail {
+
+// for_each_field visitor: the cell's members as JsonWriter key/values.
+struct CellJsonWriter {
+  JsonWriter& w;
+  template <class T>
+  void field(FieldKey k, const T& member, bool emit = true) {
+    if (emit) w.kv(k.json, member);
+  }
+  void derived(const char* key, double value) { w.kv(key, value); }
+  template <class Body>
+  void section(FieldKey k, bool has, Body&& body) {
+    if (!has) return;
+    w.key(k.json);
+    w.begin_object();
+    body();
+    w.end_object();
+  }
+};
+
+// The journal record of a cell: doubles via %.17g (exact for IEEE-754
+// binary64), integers in decimal, sections flagged "1".
+struct CellJournalWriter {
+  util::SweepJournal::Fields& f;
+  template <class T>
+  void field(FieldKey k, const T& member, bool emit = true) {
+    if (!emit) return;
+    if constexpr (std::is_same_v<T, std::string>) {
+      f[k.journal] = member;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      char buf[40];
+      std::snprintf(buf, sizeof buf, "%.17g", member);
+      f[k.journal] = buf;
+    } else {
+      f[k.journal] = std::to_string(member);
+    }
+  }
+  void derived(const char*, double) {}
+  template <class Body>
+  void section(FieldKey k, bool has, Body&& body) {
+    if (!has) return;
+    f[k.journal] = "1";
+    body();
+  }
+};
+
+// Keys a record lacks leave their member at its Cell default.
+struct CellJournalReader {
+  const util::SweepJournal::Fields& f;
+  template <class T>
+  void field(FieldKey k, T& member, bool /*emit*/ = true) {
+    const auto it = f.find(k.journal);
+    if (it == f.end()) return;
+    const std::string& s = it->second;
+    if constexpr (std::is_same_v<T, std::string>) {
+      member = s;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      member = std::strtod(s.c_str(), nullptr);
+    } else if constexpr (std::is_unsigned_v<T>) {  // full uint64 range
+      member = static_cast<T>(std::strtoull(s.c_str(), nullptr, 10));
+    } else {
+      member = static_cast<T>(std::strtoll(s.c_str(), nullptr, 10));
+    }
+  }
+  void derived(const char*, double) {}
+  template <class Body>
+  void section(FieldKey k, bool& has, Body&& body) {
+    const auto it = f.find(k.journal);
+    has = it != f.end() && std::strtoll(it->second.c_str(), nullptr, 10) != 0;
+    if (has) body();
+  }
+};
+
+}  // namespace detail
+
 // Accumulates per-cell rows and writes BENCH_<name>.json on write():
 //   {"bench": ..., "scale": ..., "jobs": N, "total_wall_s": ...,
 //    "cells": [{"label": ..., "wall_s": ..., "events": ...,
 //               "events_per_sec": ..., "fct": {...}}, ...]}
 class BenchJson {
  public:
-  struct Cell {
-    std::string label;
-    double wall_s = 0;
-    std::uint64_t events = 0;
-    int intra_jobs = 1;
-    double table_build_s = 0;
-    // Self-healing runner outcome. Emitted only when non-default so a clean
-    // run's JSON is byte-identical with or without the resilient path.
-    std::string status = "ok";  // "ok" | "failed" | "interrupted"
-    int attempts = 1;
-    std::string error;
-    bool has_fct = false;
-    std::size_t flows = 0;
-    std::size_t completed = 0;
-    double p50_ms = 0;
-    double p99_ms = 0;
-    std::int64_t drops = 0;
-    std::int64_t retransmits = 0;
-    // Fault-injection cells (bench_failures part 3): degradation metrics
-    // from the FaultInjector / DegradationMonitor pair.
-    bool has_fault = false;
-    double blackhole_s = 0;
-    double detect_ms = -1;  // first outage: BFD detection delay
-    double outage_ms = -1;  // first outage: until tables routed around it
-    std::int64_t blackhole_drops = 0;
-    std::int64_t gray_drops = 0;
-    std::int64_t corrupt_drops = 0;
-    std::size_t rescued_flows = 0;   // completed only thanks to an RTO
-    double goodput_recovery = 0;     // post-restore / pre-fault goodput
-    int undetected_gray_windows = 0;
-    std::size_t fault_outages = 0;   // control-plane outage events observed
-    std::size_t fault_completed = 0;
-    std::size_t fault_flows = 0;
-    // Hybrid packet/fluid cells (bench_hybrid, bench_fig6_scale --scale=rng):
-    // the per-flow byte-identity fingerprint plus the co-simulation split.
-    bool has_hybrid = false;
-    std::uint64_t result_hash = 0;
-    std::uint64_t fluid_windows = 0;
-    std::uint64_t fluid_solves = 0;
-    std::uint64_t fluid_solves_skipped = 0;
-    std::size_t internal_flows = 0;
-    std::size_t boundary_flows = 0;
-    std::size_t external_flows = 0;
-    int region_switches = 0;
-    int cut_links = 0;
-    // Whole-network fault-tolerance cells (bench_hybrid --faults): the
-    // cross-boundary fault metrics from HybridResult. goodput_recovery is
-    // shared with the packet-fault block above — a cell is one or the other.
-    bool has_hybrid_fault = false;
-    int failed_links = 0;
-    std::size_t stalled_flows = 0;
-    std::size_t boundary_repins = 0;
-    std::size_t fluid_outages = 0;
-    double fluid_blackhole_s = 0;
-    double stalled_s = 0;
-    // Calibration cells (bench_hybrid): the pure-packet reference and the
-    // hybrid/packet FCT ratios the documented tolerance is judged against.
-    bool has_calib = false;
-    double packet_p50_ms = 0;
-    double packet_p99_ms = 0;
-    double p50_ratio = 0;
-    double p99_ratio = 0;
-  };
+  using Cell = bench::Cell;
 
   BenchJson(std::string name, const Flags& flags)
       : name_(std::move(name)),
@@ -243,20 +430,8 @@ class BenchJson {
   // Convenience: a cell backed by a timed FctResult.
   void add_fct(const std::string& label,
                const Timed<core::FctResult>& timed) {
-    const core::FctResult& r = timed.value;
-    Cell c;
-    c.label = label;
+    Cell c = fct_cell(label, timed.value, timed.value.events);
     c.wall_s = timed.wall_s;
-    c.events = r.events;
-    c.intra_jobs = r.intra_jobs;
-    c.table_build_s = r.table_build_s;
-    c.has_fct = true;
-    c.flows = r.flows;
-    c.completed = r.completed;
-    c.p50_ms = r.median_ms();
-    c.p99_ms = r.p99_ms();
-    c.drops = r.queue_drops;
-    c.retransmits = r.retransmits;
     add(std::move(c));
   }
 
@@ -286,82 +461,7 @@ class BenchJson {
     w.begin_array();
     for (const Cell& c : cells_) {
       w.begin_object();
-      w.kv("label", c.label);
-      w.kv("wall_s", c.wall_s);
-      w.kv("events", c.events);
-      w.kv("events_per_sec",
-           c.wall_s > 0 ? static_cast<double>(c.events) / c.wall_s : 0.0);
-      w.kv("intra_jobs", c.intra_jobs);
-      if (c.status != "ok") {
-        w.kv("status", c.status);
-        if (!c.error.empty()) w.kv("error", c.error);
-      }
-      if (c.attempts > 1) w.kv("attempts", c.attempts);
-      if (c.table_build_s > 0) w.kv("table_build_s", c.table_build_s);
-      if (c.has_fct) {
-        w.key("fct");
-        w.begin_object();
-        w.kv("flows", static_cast<std::int64_t>(c.flows));
-        w.kv("completed", static_cast<std::int64_t>(c.completed));
-        w.kv("p50_ms", c.p50_ms);
-        w.kv("p99_ms", c.p99_ms);
-        w.kv("drops", c.drops);
-        w.kv("retransmits", c.retransmits);
-        w.end_object();
-      }
-      if (c.has_hybrid) {
-        w.key("hybrid");
-        w.begin_object();
-        w.kv("result_hash", c.result_hash);
-        w.kv("fluid_windows", c.fluid_windows);
-        w.kv("fluid_solves", c.fluid_solves);
-        w.kv("fluid_solves_skipped", c.fluid_solves_skipped);
-        w.kv("internal_flows", static_cast<std::int64_t>(c.internal_flows));
-        w.kv("boundary_flows", static_cast<std::int64_t>(c.boundary_flows));
-        w.kv("external_flows", static_cast<std::int64_t>(c.external_flows));
-        w.kv("region_switches", c.region_switches);
-        w.kv("cut_links", c.cut_links);
-        w.end_object();
-      }
-      if (c.has_hybrid_fault) {
-        w.key("fault_tolerance");
-        w.begin_object();
-        w.kv("failed_links", c.failed_links);
-        w.kv("fluid_outages", static_cast<std::int64_t>(c.fluid_outages));
-        w.kv("stalled_flows", static_cast<std::int64_t>(c.stalled_flows));
-        w.kv("boundary_repins",
-             static_cast<std::int64_t>(c.boundary_repins));
-        w.kv("fluid_blackhole_s", c.fluid_blackhole_s);
-        w.kv("stalled_s", c.stalled_s);
-        w.kv("goodput_recovery", c.goodput_recovery);
-        w.end_object();
-      }
-      if (c.has_calib) {
-        w.key("calibration");
-        w.begin_object();
-        w.kv("packet_p50_ms", c.packet_p50_ms);
-        w.kv("packet_p99_ms", c.packet_p99_ms);
-        w.kv("p50_ratio", c.p50_ratio);
-        w.kv("p99_ratio", c.p99_ratio);
-        w.end_object();
-      }
-      if (c.has_fault) {
-        w.key("fault");
-        w.begin_object();
-        w.kv("blackhole_s", c.blackhole_s);
-        w.kv("detect_ms", c.detect_ms);
-        w.kv("outage_ms", c.outage_ms);
-        w.kv("blackhole_drops", c.blackhole_drops);
-        w.kv("gray_drops", c.gray_drops);
-        w.kv("corrupt_drops", c.corrupt_drops);
-        w.kv("rescued_flows", static_cast<std::int64_t>(c.rescued_flows));
-        w.kv("goodput_recovery", c.goodput_recovery);
-        w.kv("undetected_gray_windows", c.undetected_gray_windows);
-        w.kv("ctrl_outages", static_cast<std::int64_t>(c.fault_outages));
-        w.kv("completed", static_cast<std::int64_t>(c.fault_completed));
-        w.kv("flows", static_cast<std::int64_t>(c.fault_flows));
-        w.end_object();
-      }
+      for_each_field(c, detail::CellJsonWriter{w});
       w.end_object();
     }
     w.end_array();
@@ -383,182 +483,19 @@ class BenchJson {
 };
 
 // --- Resumable sweeps --------------------------------------------------------
-// Cell results round-trip through the sweep journal as key=value strings:
-// doubles via %.17g (exact for IEEE-754 binary64), everything else as
-// decimal integers. Default-valued fields are omitted on write and default
-// on read, so a journaled cell re-emits the same JSON a live one would.
-
-namespace detail {
-
-inline std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-inline double field_d(const util::SweepJournal::Fields& f, const char* key,
-                      double def = 0) {
-  const auto it = f.find(key);
-  return it == f.end() ? def : std::strtod(it->second.c_str(), nullptr);
-}
-
-inline std::int64_t field_i(const util::SweepJournal::Fields& f,
-                            const char* key, std::int64_t def = 0) {
-  const auto it = f.find(key);
-  return it == f.end() ? def
-                       : std::strtoll(it->second.c_str(), nullptr, 10);
-}
-
-inline std::uint64_t field_u(const util::SweepJournal::Fields& f,
-                             const char* key, std::uint64_t def = 0) {
-  const auto it = f.find(key);
-  return it == f.end() ? def
-                       : std::strtoull(it->second.c_str(), nullptr, 10);
-}
-
-inline std::string field_s(const util::SweepJournal::Fields& f,
-                           const char* key, const char* def = "") {
-  const auto it = f.find(key);
-  return it == f.end() ? def : it->second;
-}
-
-}  // namespace detail
-
-inline util::SweepJournal::Fields cell_to_fields(const BenchJson::Cell& c) {
-  using detail::fmt_double;
+// Cell results round-trip through the sweep journal as key=value strings.
+// Fields the JSON leaves out are left out of the record too and take their
+// Cell default on read, so a journaled cell re-emits the same JSON a live
+// one would.
+inline util::SweepJournal::Fields cell_to_fields(const Cell& c) {
   util::SweepJournal::Fields f;
-  f["label"] = c.label;
-  f["wall_s"] = fmt_double(c.wall_s);
-  f["events"] = std::to_string(c.events);
-  f["intra_jobs"] = std::to_string(c.intra_jobs);
-  if (c.table_build_s > 0) f["table_build_s"] = fmt_double(c.table_build_s);
-  if (c.status != "ok") f["status"] = c.status;
-  if (c.attempts > 1) f["attempts"] = std::to_string(c.attempts);
-  if (!c.error.empty()) f["error"] = c.error;
-  if (c.has_fct) {
-    f["fct"] = "1";
-    f["flows"] = std::to_string(c.flows);
-    f["completed"] = std::to_string(c.completed);
-    f["p50_ms"] = fmt_double(c.p50_ms);
-    f["p99_ms"] = fmt_double(c.p99_ms);
-    f["drops"] = std::to_string(c.drops);
-    f["retransmits"] = std::to_string(c.retransmits);
-  }
-  if (c.has_hybrid) {
-    f["hybrid"] = "1";
-    f["result_hash"] = std::to_string(c.result_hash);
-    f["fluid_windows"] = std::to_string(c.fluid_windows);
-    f["fluid_solves"] = std::to_string(c.fluid_solves);
-    f["fluid_solves_skipped"] = std::to_string(c.fluid_solves_skipped);
-    f["internal_flows"] = std::to_string(c.internal_flows);
-    f["boundary_flows"] = std::to_string(c.boundary_flows);
-    f["external_flows"] = std::to_string(c.external_flows);
-    f["region_switches"] = std::to_string(c.region_switches);
-    f["cut_links"] = std::to_string(c.cut_links);
-  }
-  if (c.has_hybrid_fault) {
-    f["hybrid_fault"] = "1";
-    f["failed_links"] = std::to_string(c.failed_links);
-    f["fluid_outages"] = std::to_string(c.fluid_outages);
-    f["stalled_flows"] = std::to_string(c.stalled_flows);
-    f["boundary_repins"] = std::to_string(c.boundary_repins);
-    f["fluid_blackhole_s"] = fmt_double(c.fluid_blackhole_s);
-    f["stalled_s"] = fmt_double(c.stalled_s);
-    f["goodput_recovery"] = fmt_double(c.goodput_recovery);
-  }
-  if (c.has_calib) {
-    f["calib"] = "1";
-    f["packet_p50_ms"] = fmt_double(c.packet_p50_ms);
-    f["packet_p99_ms"] = fmt_double(c.packet_p99_ms);
-    f["p50_ratio"] = fmt_double(c.p50_ratio);
-    f["p99_ratio"] = fmt_double(c.p99_ratio);
-  }
-  if (c.has_fault) {
-    f["fault"] = "1";
-    f["blackhole_s"] = fmt_double(c.blackhole_s);
-    f["detect_ms"] = fmt_double(c.detect_ms);
-    f["outage_ms"] = fmt_double(c.outage_ms);
-    f["blackhole_drops"] = std::to_string(c.blackhole_drops);
-    f["gray_drops"] = std::to_string(c.gray_drops);
-    f["corrupt_drops"] = std::to_string(c.corrupt_drops);
-    f["rescued_flows"] = std::to_string(c.rescued_flows);
-    f["goodput_recovery"] = fmt_double(c.goodput_recovery);
-    f["undetected_gray"] = std::to_string(c.undetected_gray_windows);
-    f["ctrl_outages"] = std::to_string(c.fault_outages);
-    f["fault_completed"] = std::to_string(c.fault_completed);
-    f["fault_flows"] = std::to_string(c.fault_flows);
-  }
+  for_each_field(c, detail::CellJournalWriter{f});
   return f;
 }
 
-inline BenchJson::Cell cell_from_fields(const util::SweepJournal::Fields& f) {
-  using namespace detail;
-  BenchJson::Cell c;
-  c.label = field_s(f, "label");
-  c.wall_s = field_d(f, "wall_s");
-  c.events = static_cast<std::uint64_t>(field_i(f, "events"));
-  c.intra_jobs = static_cast<int>(field_i(f, "intra_jobs", 1));
-  c.table_build_s = field_d(f, "table_build_s");
-  c.status = field_s(f, "status", "ok");
-  c.attempts = static_cast<int>(field_i(f, "attempts", 1));
-  c.error = field_s(f, "error");
-  c.has_fct = field_i(f, "fct") != 0;
-  if (c.has_fct) {
-    c.flows = static_cast<std::size_t>(field_i(f, "flows"));
-    c.completed = static_cast<std::size_t>(field_i(f, "completed"));
-    c.p50_ms = field_d(f, "p50_ms");
-    c.p99_ms = field_d(f, "p99_ms");
-    c.drops = field_i(f, "drops");
-    c.retransmits = field_i(f, "retransmits");
-  }
-  c.has_hybrid = field_i(f, "hybrid") != 0;
-  if (c.has_hybrid) {
-    c.result_hash = field_u(f, "result_hash");  // full uint64, no sign clip
-    c.fluid_windows = static_cast<std::uint64_t>(field_i(f, "fluid_windows"));
-    c.fluid_solves = static_cast<std::uint64_t>(field_i(f, "fluid_solves"));
-    c.fluid_solves_skipped =
-        static_cast<std::uint64_t>(field_i(f, "fluid_solves_skipped"));
-    c.internal_flows = static_cast<std::size_t>(field_i(f, "internal_flows"));
-    c.boundary_flows = static_cast<std::size_t>(field_i(f, "boundary_flows"));
-    c.external_flows = static_cast<std::size_t>(field_i(f, "external_flows"));
-    c.region_switches = static_cast<int>(field_i(f, "region_switches"));
-    c.cut_links = static_cast<int>(field_i(f, "cut_links"));
-  }
-  c.has_hybrid_fault = field_i(f, "hybrid_fault") != 0;
-  if (c.has_hybrid_fault) {
-    c.failed_links = static_cast<int>(field_i(f, "failed_links"));
-    c.fluid_outages = static_cast<std::size_t>(field_i(f, "fluid_outages"));
-    c.stalled_flows = static_cast<std::size_t>(field_i(f, "stalled_flows"));
-    c.boundary_repins =
-        static_cast<std::size_t>(field_i(f, "boundary_repins"));
-    c.fluid_blackhole_s = field_d(f, "fluid_blackhole_s");
-    c.stalled_s = field_d(f, "stalled_s");
-    c.goodput_recovery = field_d(f, "goodput_recovery");
-  }
-  c.has_calib = field_i(f, "calib") != 0;
-  if (c.has_calib) {
-    c.packet_p50_ms = field_d(f, "packet_p50_ms");
-    c.packet_p99_ms = field_d(f, "packet_p99_ms");
-    c.p50_ratio = field_d(f, "p50_ratio");
-    c.p99_ratio = field_d(f, "p99_ratio");
-  }
-  c.has_fault = field_i(f, "fault") != 0;
-  if (c.has_fault) {
-    c.blackhole_s = field_d(f, "blackhole_s");
-    c.detect_ms = field_d(f, "detect_ms", -1);
-    c.outage_ms = field_d(f, "outage_ms", -1);
-    c.blackhole_drops = field_i(f, "blackhole_drops");
-    c.gray_drops = field_i(f, "gray_drops");
-    c.corrupt_drops = field_i(f, "corrupt_drops");
-    c.rescued_flows = static_cast<std::size_t>(field_i(f, "rescued_flows"));
-    c.goodput_recovery = field_d(f, "goodput_recovery");
-    c.undetected_gray_windows =
-        static_cast<int>(field_i(f, "undetected_gray"));
-    c.fault_outages = static_cast<std::size_t>(field_i(f, "ctrl_outages"));
-    c.fault_completed =
-        static_cast<std::size_t>(field_i(f, "fault_completed"));
-    c.fault_flows = static_cast<std::size_t>(field_i(f, "fault_flows"));
-  }
+inline Cell cell_from_fields(const util::SweepJournal::Fields& f) {
+  Cell c;
+  for_each_field(c, detail::CellJournalReader{f});
   return c;
 }
 
@@ -600,20 +537,8 @@ inline std::vector<workload::FlowSpec> rng_tier_flows(
 }
 
 // Copies a HybridResult into a journal-round-trippable cell.
-inline BenchJson::Cell hybrid_cell(const std::string& label,
-                                   const core::HybridResult& r) {
-  BenchJson::Cell c;
-  c.label = label;
-  c.events = r.packet_events;
-  c.intra_jobs = r.intra_jobs;
-  c.table_build_s = r.table_build_s;
-  c.has_fct = true;
-  c.flows = r.flows;
-  c.completed = r.completed;
-  c.p50_ms = r.median_ms();
-  c.p99_ms = r.p99_ms();
-  c.drops = r.queue_drops;
-  c.retransmits = r.retransmits;
+inline Cell hybrid_cell(const std::string& label, const core::HybridResult& r) {
+  Cell c = fct_cell(label, r, r.packet_events);
   c.has_hybrid = true;
   c.result_hash = r.result_hash;
   c.fluid_windows = r.fluid_windows;
@@ -629,10 +554,9 @@ inline BenchJson::Cell hybrid_cell(const std::string& label,
 
 // A hybrid cell plus the whole-network fault-tolerance metrics
 // (bench_hybrid --faults).
-inline BenchJson::Cell hybrid_fault_cell(const std::string& label,
-                                         const core::HybridResult& r,
-                                         int failed_links) {
-  BenchJson::Cell c = hybrid_cell(label, r);
+inline Cell hybrid_fault_cell(const std::string& label,
+                              const core::HybridResult& r, int failed_links) {
+  Cell c = hybrid_cell(label, r);
   c.has_hybrid_fault = true;
   c.failed_links = failed_links;
   c.stalled_flows = r.stalled_flows;
@@ -737,12 +661,11 @@ class ResumableSweep {
 // Self-healing, resumable fan-out: journaled cells are returned as-is
 // (skipped), the rest run under the watchdog/retry policy, and every cell
 // that finishes (ok or permanently failed) is journaled. fn(i, ctx) must
-// return a fully-populated BenchJson::Cell except wall_s/attempts/status,
-// which this wrapper owns. Results come back in index order.
+// return a fully-populated Cell except wall_s/attempts/status, which this
+// wrapper owns. Results come back in index order.
 template <typename Fn>
-std::vector<BenchJson::Cell> run_resumable(core::Runner& runner,
-                                           std::size_t n,
-                                           ResumableSweep& sweep, Fn&& fn) {
+std::vector<Cell> run_resumable(core::Runner& runner, std::size_t n,
+                                ResumableSweep& sweep, Fn&& fn) {
   // Snapshot the journal hits before the parallel map: get() is not safe
   // against a concurrent record(), but std::map nodes stay put, so the
   // prefetched pointers survive later inserts.
@@ -758,7 +681,7 @@ std::vector<BenchJson::Cell> run_resumable(core::Runner& runner,
     auto out = util::run_cell_attempts(
         dog.slot(i), sweep.policy(), label,
         [&](util::CellContext& ctx) { return fn(i, ctx); });
-    BenchJson::Cell cell = std::move(out.value);
+    Cell cell = std::move(out.value);
     cell.wall_s = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start)
                       .count();

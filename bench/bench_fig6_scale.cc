@@ -210,19 +210,8 @@ int run(int argc, char** argv) {
           r = core::run_fct_experiment(rrg, workload::RackTm::uniform(rrg),
                                        cfg);
         }
-        bench::BenchJson::Cell c;
-        c.label = (is_rrg ? "RRG m=" : "DRing m=") + std::to_string(m);
-        c.events = r.events;
-        c.intra_jobs = r.intra_jobs;
-        c.table_build_s = r.table_build_s;
-        c.has_fct = true;
-        c.flows = r.flows;
-        c.completed = r.completed;
-        c.p50_ms = r.median_ms();
-        c.p99_ms = r.p99_ms();
-        c.drops = r.queue_drops;
-        c.retransmits = r.retransmits;
-        return c;
+        return bench::fct_cell(
+            (is_rrg ? "RRG m=" : "DRing m=") + std::to_string(m), r, r.events);
       });
 
   bench::BenchJson json("fig6_scale", flags);

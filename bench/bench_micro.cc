@@ -17,16 +17,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include "ctrl/bgp.h"
+#include "event_throughput.h"
 #include "flowsim/maxmin.h"
 #include "routing/ecmp.h"
 #include "routing/paths.h"
 #include "routing/vrf.h"
-#include "sim/sharded_engine.h"
-#include "sim/tcp.h"
 #include "topo/builders.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -95,23 +93,8 @@ BENCHMARK(BM_MaxMinWaterFill)->Arg(1000)->Arg(5000);
 // DRing. The counter is the figure of merit.
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   for (auto _ : state) {
-    const auto d = topo::make_dring(5, 2, 4);
-    sim::Simulator simulator;
-    sim::NetworkConfig cfg;
-    sim::Network net(d.graph, cfg);
-    sim::FlowDriver driver(net, sim::TcpConfig{});
-    Rng rng(7);
-    for (int i = 0; i < 50; ++i) {
-      const auto src = static_cast<topo::HostId>(
-          rng.uniform(static_cast<std::uint64_t>(d.graph.total_servers())));
-      auto dst = static_cast<topo::HostId>(
-          rng.uniform(static_cast<std::uint64_t>(d.graph.total_servers())));
-      if (dst == src) dst = (dst + 1) % d.graph.total_servers();
-      driver.add_flow(simulator, src, dst, 200'000, 0);
-    }
-    simulator.run_until(units::kSecond);
     state.counters["events/s"] = benchmark::Counter(
-        static_cast<double>(simulator.events_processed()),
+        static_cast<double>(bench::run_event_throughput(1).events),
         benchmark::Counter::kIsIterationInvariantRate);
   }
 }
@@ -119,58 +102,15 @@ BENCHMARK(BM_SimulatorEventThroughput);
 
 // The BM_SimulatorEventThroughput scenario, run outside the
 // google-benchmark harness so the smoke target stays fast and emits one
-// unambiguous number per metric. One warmup run primes caches and the
-// allocator; the best of the timed runs is reported (the standard smoke
-// convention — the minimum-interference run is the repeatable one on a
-// shared machine).
+// unambiguous number per metric (the best of kTimedRuns after a warm-up).
 int run_json_smoke(const std::string& path, int intra_jobs) {
   constexpr int kTimedRuns = 3;
-  std::uint64_t events = 0;
-  std::size_t completed = 0;
-  double wall_s = 0;
-  sim::ShardedEngine::Metrics metrics;
-  for (int run = 0; run < 1 + kTimedRuns; ++run) {
-    const auto d = topo::make_dring(5, 2, 4);
-    sim::NetworkConfig cfg;
-    cfg.intra_jobs = intra_jobs;
-    sim::Network net(d.graph, cfg);
-    sim::FlowDriver driver(net, sim::TcpConfig{});
-    Rng rng(7);
-    sim::Simulator serial;
-    std::unique_ptr<sim::ShardedEngine> sharded;
-    if (net.sharded()) sharded = std::make_unique<sim::ShardedEngine>(net);
-    sim::Simulator& front = sharded ? sharded->control() : serial;
-    for (int i = 0; i < 50; ++i) {
-      const auto src = static_cast<topo::HostId>(
-          rng.uniform(static_cast<std::uint64_t>(d.graph.total_servers())));
-      auto dst = static_cast<topo::HostId>(
-          rng.uniform(static_cast<std::uint64_t>(d.graph.total_servers())));
-      if (dst == src) dst = (dst + 1) % d.graph.total_servers();
-      driver.add_flow(front, src, dst, 200'000, 0);
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    if (sharded) {
-      sharded->run_until(units::kSecond);
-    } else {
-      serial.run_until(units::kSecond);
-    }
-    const double run_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (run == 0) continue;  // warmup
-    if (wall_s == 0 || run_s < wall_s) {
-      wall_s = run_s;
-      events = sharded ? sharded->events_processed() : serial.events_processed();
-      completed = driver.completed_flows();
-      if (sharded) metrics = sharded->metrics();
-    }
-  }
-
-  const double events_per_sec =
-      wall_s > 0 ? static_cast<double>(events) / wall_s : 0;
+  const bench::EventThroughput best =
+      bench::best_event_throughput(intra_jobs, kTimedRuns);
+  const double events_per_sec = best.events_per_sec();
   const double ns_per_event =
-      events > 0 ? wall_s * 1e9 / static_cast<double>(events) : 0;
+      best.events > 0 ? best.wall_s * 1e9 / static_cast<double>(best.events)
+                      : 0;
   struct rusage ru {};
   getrusage(RUSAGE_SELF, &ru);  // ru_maxrss is in KiB on Linux
 
@@ -189,40 +129,24 @@ int run_json_smoke(const std::string& path, int intra_jobs) {
 
   JsonWriter w;
   w.begin_object();
-  w.key("bench");
-  w.value("micro");
-  w.key("scenario");
-  w.value("simulator_event_throughput dring(5,2,4) 50 flows x 200KB, 1s");
-  w.key("events");
-  w.value(static_cast<std::int64_t>(events));
-  w.key("wall_s");
-  w.value(wall_s);
-  w.key("events_per_sec");
-  w.value(events_per_sec);
-  w.key("ns_per_event");
-  w.value(ns_per_event);
-  w.key("peak_rss_kib");
-  w.value(static_cast<std::int64_t>(ru.ru_maxrss));
-  w.key("completed_flows");
-  w.value(static_cast<std::int64_t>(completed));
-  w.key("timed_runs");
-  w.value(static_cast<std::int64_t>(kTimedRuns));
-  w.key("rrg20k_build_s");
-  w.value(rrg_build_s);
+  w.kv("bench", "micro");
+  w.kv("scenario", bench::kEventThroughputScenario);
+  w.kv("events", best.events);
+  w.kv("wall_s", best.wall_s);
+  w.kv("events_per_sec", events_per_sec);
+  w.kv("ns_per_event", ns_per_event);
+  w.kv("peak_rss_kib", static_cast<std::int64_t>(ru.ru_maxrss));
+  w.kv("completed_flows", best.completed);
+  w.kv("timed_runs", kTimedRuns);
+  w.kv("rrg20k_build_s", rrg_build_s);
   if (intra_jobs > 1) {
     // Engine self-metrics (sharded runs only, so serial JSON is stable).
-    w.key("intra_jobs");
-    w.value(static_cast<std::int64_t>(intra_jobs));
-    w.key("engine_windows");
-    w.value(static_cast<std::int64_t>(metrics.windows));
-    w.key("engine_ring_handoffs");
-    w.value(static_cast<std::int64_t>(metrics.ring_handoffs));
-    w.key("engine_max_ring_occupancy");
-    w.value(static_cast<std::int64_t>(metrics.max_ring_occupancy));
-    w.key("engine_spin_waits");
-    w.value(static_cast<std::int64_t>(metrics.spin_waits));
-    w.key("engine_central_plans");
-    w.value(static_cast<std::int64_t>(metrics.central_plans));
+    w.kv("intra_jobs", intra_jobs);
+    w.kv("engine_windows", best.metrics.windows);
+    w.kv("engine_ring_handoffs", best.metrics.ring_handoffs);
+    w.kv("engine_max_ring_occupancy", best.metrics.max_ring_occupancy);
+    w.kv("engine_spin_waits", best.metrics.spin_waits);
+    w.kv("engine_central_plans", best.metrics.central_plans);
   }
   w.end_object();
   if (!write_json_file(path, w)) {
@@ -231,9 +155,9 @@ int run_json_smoke(const std::string& path, int intra_jobs) {
   }
   std::printf("%zu events in %.3f s (%.2fM events/s, %.1f ns/event, "
               "peak RSS %ld KiB); 20k-switch RRG built in %.3f s; wrote %s\n",
-              static_cast<std::size_t>(events), wall_s, events_per_sec / 1e6,
-              ns_per_event, static_cast<long>(ru.ru_maxrss), rrg_build_s,
-              path.c_str());
+              static_cast<std::size_t>(best.events), best.wall_s,
+              events_per_sec / 1e6, ns_per_event,
+              static_cast<long>(ru.ru_maxrss), rrg_build_s, path.c_str());
   return 0;
 }
 

@@ -11,146 +11,62 @@
 // single-core run is a category error. Target on >= 4 real cores:
 // >= 3x speedup at 4 shards (documented here, CI-checked where hardware
 // allows).
-#include <sys/resource.h>
-
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "sim/sharded_engine.h"
-#include "sim/tcp.h"
-#include "topo/builders.h"
+#include "event_throughput.h"
 #include "util/json.h"
-#include "util/rng.h"
 
 namespace spineless {
 namespace {
 
-struct Cell {
-  int intra_jobs = 1;
-  int cores_used = 1;  // reactor threads actually backing the shards
-  bool pin_reactors = false;
-  std::uint64_t events = 0;
-  double wall_s = 0;
-  double events_per_sec = 0;
-  sim::ShardedEngine::Metrics metrics;
-};
-
-Cell run_cell(int intra_jobs, bool pin_reactors) {
-  constexpr int kTimedRuns = 3;
-  Cell c;
-  c.intra_jobs = intra_jobs;
-  c.pin_reactors = pin_reactors;
-  for (int run = 0; run < 1 + kTimedRuns; ++run) {
-    const auto d = topo::make_dring(5, 2, 4);
-    sim::NetworkConfig cfg;
-    cfg.intra_jobs = intra_jobs;
-    cfg.pin_reactors = pin_reactors;
-    sim::Network net(d.graph, cfg);
-    sim::FlowDriver driver(net, sim::TcpConfig{});
-    Rng rng(7);
-    sim::Simulator serial;
-    std::unique_ptr<sim::ShardedEngine> sharded;
-    if (net.sharded()) sharded = std::make_unique<sim::ShardedEngine>(net);
-    sim::Simulator& front = sharded ? sharded->control() : serial;
-    for (int i = 0; i < 50; ++i) {
-      const auto src = static_cast<topo::HostId>(
-          rng.uniform(static_cast<std::uint64_t>(d.graph.total_servers())));
-      auto dst = static_cast<topo::HostId>(
-          rng.uniform(static_cast<std::uint64_t>(d.graph.total_servers())));
-      if (dst == src) dst = (dst + 1) % d.graph.total_servers();
-      driver.add_flow(front, src, dst, 200'000, 0);
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    if (sharded) {
-      sharded->run_until(units::kSecond);
-    } else {
-      serial.run_until(units::kSecond);
-    }
-    const double run_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (run == 0) continue;  // warmup
-    if (c.wall_s == 0 || run_s < c.wall_s) {
-      c.wall_s = run_s;
-      c.events = sharded ? sharded->events_processed() : serial.events_processed();
-      if (sharded) {
-        c.metrics = sharded->metrics();
-        c.cores_used = sharded->reactor_threads();
-      }
-    }
-  }
-  c.events_per_sec =
-      c.wall_s > 0 ? static_cast<double>(c.events) / c.wall_s : 0;
-  return c;
-}
-
 int run(const std::string& path, bool pin_reactors) {
   const unsigned hw_raw = std::thread::hardware_concurrency();
   const int hw = hw_raw == 0 ? 1 : static_cast<int>(hw_raw);
-  std::vector<Cell> cells;
+  std::vector<bench::EventThroughput> cells;
   for (int intra : {1, 2, 4, 7})
-    cells.push_back(run_cell(intra, pin_reactors));
-  const double serial_rate = cells.front().events_per_sec;
+    cells.push_back(
+        bench::best_event_throughput(intra, /*timed_runs=*/3, pin_reactors));
+  const double serial_rate = cells.front().events_per_sec();
 
   JsonWriter w;
   w.begin_object();
-  w.key("bench");
-  w.value("scaling");
-  w.key("scenario");
-  w.value("simulator_event_throughput dring(5,2,4) 50 flows x 200KB, 1s");
-  w.key("hardware_concurrency");
-  w.value(static_cast<std::int64_t>(hw));
-  w.key("target");
-  w.value(">=3x speedup at intra_jobs=4 on >=4 real cores; "
-          "<=5% overhead at intra_jobs=2 on 1 core");
+  w.kv("bench", "scaling");
+  w.kv("scenario", bench::kEventThroughputScenario);
+  w.kv("hardware_concurrency", hw);
+  w.kv("target",
+       ">=3x speedup at intra_jobs=4 on >=4 real cores; "
+       "<=5% overhead at intra_jobs=2 on 1 core");
   w.key("cells");
   w.begin_array();
-  for (const Cell& c : cells) {
+  for (const bench::EventThroughput& c : cells) {
+    const double rate = c.events_per_sec();
     w.begin_object();
-    w.key("intra_jobs");
-    w.value(static_cast<std::int64_t>(c.intra_jobs));
-    w.key("cores_used");
-    w.value(static_cast<std::int64_t>(c.cores_used));
+    w.kv("intra_jobs", c.intra_jobs);
+    w.kv("cores_used", c.cores_used);
     // Affinity is a pure scheduling hint (results are byte-identical either
     // way) but it changes the throughput figures, so each cell records it.
-    w.kv("pin_reactors", c.pin_reactors);
-    w.key("events");
-    w.value(static_cast<std::int64_t>(c.events));
-    w.key("wall_s");
-    w.value(c.wall_s);
-    w.key("events_per_sec");
-    w.value(c.events_per_sec);
-    if (serial_rate > 0) {
-      w.key("vs_serial");
-      w.value(c.events_per_sec / serial_rate);
-    }
+    w.kv("pin_reactors", pin_reactors);
+    w.kv("events", c.events);
+    w.kv("wall_s", c.wall_s);
+    w.kv("events_per_sec", rate);
+    if (serial_rate > 0) w.kv("vs_serial", rate / serial_rate);
     if (c.cores_used > 1 && serial_rate > 0) {
       // Efficiency is meaningful only when real cores back the shards.
-      w.key("efficiency");
-      w.value(c.events_per_sec / serial_rate /
-              static_cast<double>(c.cores_used));
+      w.kv("efficiency",
+           rate / serial_rate / static_cast<double>(c.cores_used));
     }
     if (c.intra_jobs > 1) {
-      w.key("engine_windows");
-      w.value(static_cast<std::int64_t>(c.metrics.windows));
-      w.key("engine_ring_handoffs");
-      w.value(static_cast<std::int64_t>(c.metrics.ring_handoffs));
-      w.key("engine_max_ring_occupancy");
-      w.value(static_cast<std::int64_t>(c.metrics.max_ring_occupancy));
-      w.key("engine_ring_capacity");
-      w.value(static_cast<std::int64_t>(c.metrics.ring_capacity));
-      w.key("engine_ring_growths");
-      w.value(static_cast<std::int64_t>(c.metrics.ring_growths));
-      w.key("engine_spin_waits");
-      w.value(static_cast<std::int64_t>(c.metrics.spin_waits));
-      w.key("engine_central_plans");
-      w.value(static_cast<std::int64_t>(c.metrics.central_plans));
+      w.kv("engine_windows", c.metrics.windows);
+      w.kv("engine_ring_handoffs", c.metrics.ring_handoffs);
+      w.kv("engine_max_ring_occupancy", c.metrics.max_ring_occupancy);
+      w.kv("engine_ring_capacity", c.metrics.ring_capacity);
+      w.kv("engine_ring_growths", c.metrics.ring_growths);
+      w.kv("engine_spin_waits", c.metrics.spin_waits);
+      w.kv("engine_central_plans", c.metrics.central_plans);
     }
     w.end_object();
   }
@@ -160,11 +76,12 @@ int run(const std::string& path, bool pin_reactors) {
     std::fprintf(stderr, "bench_scaling: cannot write %s\n", path.c_str());
     return 1;
   }
-  for (const Cell& c : cells) {
+  for (const bench::EventThroughput& c : cells) {
+    const double rate = c.events_per_sec();
     std::printf("intra_jobs=%d  %8.2fM events/s  (%.3fx serial, %d core%s)\n",
-                c.intra_jobs, c.events_per_sec / 1e6,
-                serial_rate > 0 ? c.events_per_sec / serial_rate : 0.0,
-                c.cores_used, c.cores_used == 1 ? "" : "s");
+                c.intra_jobs, rate / 1e6,
+                serial_rate > 0 ? rate / serial_rate : 0.0, c.cores_used,
+                c.cores_used == 1 ? "" : "s");
   }
   std::printf("wrote %s\n", path.c_str());
   return 0;

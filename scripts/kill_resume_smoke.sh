@@ -1,46 +1,62 @@
 #!/usr/bin/env bash
 # SIGKILL-mid-run recovery smoke test.
 #
-# Runs a small bench_fig6_scale sweep three ways:
+# Runs a small resumable bench sweep three ways, one cell at a time
+# (--jobs=1):
 #   1. clean, uninterrupted;
-#   2. with --resume, SIGKILLed partway through (leaving a sweep journal
-#      and/or per-cell checkpoints behind);
-#   3. rerun with --resume, which must complete from the relics.
+#   2. with --resume, SIGKILLed as soon as the sweep journal holds its
+#      first finished cell (per-cell checkpoints may sit beside it);
+#   3. rerun with --resume, which must decode the journaled cells and run
+#      the rest.
 # The resumed BENCH JSON must equal the clean one modulo wall-clock timing
 # fields (wall_s, total_wall_s, events_per_sec, table_build_s).
 #
-# Usage: kill_resume_smoke.sh <bench_fig6_scale binary> <work dir>
+# Usage: kill_resume_smoke.sh <bench binary> <work dir> [bench args...]
 set -u
 
 BENCH="$1"
 DIR="$2"
-ARGS=(--m_lo=5 --m_hi=6 --window_ms=1)
+shift 2
+ARGS=("$@" --jobs=1)
+JOURNAL=kill.json.sweep.journal
 
 rm -rf "$DIR"
 mkdir -p "$DIR"
 cd "$DIR"
+
+# Finished cells recorded in the journal (one line each, tagged "cell").
+records() { grep -c $'^cell\t' "$JOURNAL" 2>/dev/null || true; }
 
 echo "== clean run =="
 "$BENCH" "${ARGS[@]}" --json_out=clean.json >/dev/null 2>&1 \
   || { echo "FAIL: clean run exited non-zero"; exit 1; }
 
 echo "== killed run =="
-rm -f kill.json kill.json.sweep.journal*
+rm -f kill.json "$JOURNAL"*
 "$BENCH" "${ARGS[@]}" --json_out=kill.json --resume >/dev/null 2>&1 &
 PID=$!
-# Give it long enough to write a checkpoint or journal entry, then kill -9.
-# On very fast machines the run may finish first; that degenerates into the
-# resume-from-journal (or from-scratch) case, which must still match.
-sleep 0.4
+while [[ "$(records)" -lt 1 ]]; do
+  if ! kill -0 "$PID" 2>/dev/null; then
+    echo "FAIL: the run exited before its journal held a finished cell"
+    exit 1
+  fi
+  sleep 0.01
+done
 kill -9 "$PID" 2>/dev/null
 wait "$PID" 2>/dev/null
+KEPT=$(records)
+if [[ "$KEPT" -lt 1 ]]; then
+  echo "FAIL: the run finished before the kill; nothing left to resume"
+  exit 1
+fi
+echo "killed with $KEPT journaled cell(s)"
 
 echo "== resumed run =="
 "$BENCH" "${ARGS[@]}" --json_out=kill.json --resume >/dev/null 2>&1 \
   || { echo "FAIL: resumed run exited non-zero"; exit 1; }
 
 # Recovery artifacts must be cleaned up after a completed sweep.
-if ls kill.json.sweep.journal* >/dev/null 2>&1; then
+if ls "$JOURNAL"* >/dev/null 2>&1; then
   echo "FAIL: journal/checkpoints left behind after a completed sweep"
   exit 1
 fi

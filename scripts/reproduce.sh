@@ -105,8 +105,7 @@ for b in build/bench/*; do
   if [[ "$name" == bench_micro ]]; then
     # google-benchmark harness: no --jobs; the JSON smoke mode is the
     # machine-readable artifact. Run serial and the intra_jobs=2 reactor
-    # cell, then refresh the committed results/BENCH_micro.json baseline
-    # (the pre-reactor numbers are frozen — that engine no longer exists).
+    # cell, then refresh the committed results/BENCH_micro.json baseline.
     env "${SCALE_ENV[@]}" "$b" --json=BENCH_micro.json \
       2>/dev/null | tee -a bench_output.txt
     env "${SCALE_ENV[@]}" "$b" --intra_jobs=2 --json=BENCH_micro_intra2.json \
@@ -115,10 +114,6 @@ for b in build/bench/*; do
     {
       printf '{\n  "bench": "micro_baseline",\n'
       printf '  "scenario": "simulator_event_throughput dring(5,2,4) 50 flows x 200KB, 1s",\n'
-      printf '  "before_reactor": {"engine": "two-barrier lockstep windows",\n'
-      printf '                     "serial_events_per_sec": 10.7e6,\n'
-      printf '                     "intra2_events_per_sec": 5.5e6,\n'
-      printf '                     "intra2_overhead_pct": 48.6},\n'
       printf '  "serial": %s,\n' "$(cat BENCH_micro.json)"
       printf '  "intra_jobs_2": %s\n}\n' "$(cat BENCH_micro_intra2.json)"
     } > results/BENCH_micro.json
