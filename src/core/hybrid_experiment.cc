@@ -35,7 +35,7 @@ constexpr topo::NodeId kPathTableThreshold = 4096;
 constexpr std::uint64_t kPathStreamSalt = 0x70617468ULL;    // "path"
 constexpr std::uint64_t kBoundarySalt = 0x424e4459ULL;      // "BNDY"
 constexpr std::uint64_t kRepathSalt = 0x72657061ULL;        // "repa"
-// HYBR snapshot payload version (sim::write_section_version): 2 added the
+// HYBR snapshot payload version (sim::section_version): 2 added the
 // whole-network fault state (per-flow routes/stalls, link states, outage
 // and re-pin logs) in PR 8.
 constexpr std::uint32_t kHybridSectionVersion = 2;
@@ -415,132 +415,76 @@ class HybridLoop : public sim::Checkpointable {
   void collect_sinks(sim::SinkRegistry& reg) override {
     for (auto& s : sources_) reg.add(s.get(), sim::CtxKind::kPlain);
   }
-  void save_state(sim::SnapshotWriter& w) const override {
-    sim::write_section_version(w, sim::kSectionHybrid, kHybridSectionVersion);
-    w.u64(windows_);
-    w.u64(solves_);
-    w.u64(solves_skipped_);
-    w.u64(active_sig_);
-    w.f64(peak_pre_);
-    w.f64(peak_post_);
-    w.u64(fluid_.size());
-    for (const FluidFlowState& f : fluid_) {
-      w.f64(f.remaining);
-      w.f64(f.rate);
-      w.f64(f.cap);
-      w.f64(f.cap_at_solve);
-      w.i64(f.delivered_last);
-      w.i64(f.finish);
-      w.u8(f.active ? 1 : 0);
-      w.u8(f.done ? 1 : 0);
-      w.u8(f.stalled ? 1 : 0);
-      w.u64(f.generation);
-      w.i64(f.stall_since);
-      w.f64(f.stalled_s);
-      w.i64(f.entry_cut);
-      w.i64(f.exit_cut);
-      // The current fluid route: re-paths move it off the classification.
-      w.u64(f.resources.size());
-      for (int res : f.resources) w.i64(res);
-    }
-    for (const auto& s : sources_) s->save_state(w);
-    for (const auto& s : sinks_) s->save_state(w);
-    w.u8(fault_active_ ? 1 : 0);
-    if (fault_active_) {
-      w.u64(cursor_);
-      w.u64(link_states_.size());
-      for (const FluidLinkState& s : link_states_) {
-        w.u8(s.down ? 1 : 0);
-        w.u8(s.routed_out ? 1 : 0);
-        w.f64(s.degrade_factor);
-        w.f64(s.gray_factor);
-        w.i64(s.open_outage);
-      }
-      w.u64(outages_.size());
-      for (const FluidOutage& o : outages_) {
-        w.i64(o.link);
-        w.i64(o.t_down);
-        w.i64(o.t_routed_out);
-        w.i64(o.t_restored);
-        w.i64(o.t_routed_in);
-        w.u8(o.boundary ? 1 : 0);
-      }
-      w.u64(repins_.size());
-      for (const BoundaryRepin& p : repins_) {
-        w.i64(p.flow);
-        w.i64(p.from_cut);
-        w.i64(p.to_cut);
-        w.i64(p.at);
-      }
-    }
-  }
-  void load_state(sim::SnapshotReader& r) override {
-    sim::expect_section_version(r, sim::kSectionHybrid,
-                                kHybridSectionVersion);
-    windows_ = r.u64();
-    solves_ = r.u64();
-    solves_skipped_ = r.u64();
-    active_sig_ = r.u64();
-    peak_pre_ = r.f64();
-    peak_post_ = r.f64();
-    SPINELESS_CHECK_MSG(r.u64() == fluid_.size(),
-                        "hybrid snapshot fluid flow count mismatch");
-    for (FluidFlowState& f : fluid_) {
-      f.remaining = r.f64();
-      f.rate = r.f64();
-      f.cap = r.f64();
-      f.cap_at_solve = r.f64();
-      f.delivered_last = r.i64();
-      f.finish = r.i64();
-      f.active = r.u8() != 0;
-      f.done = r.u8() != 0;
-      f.stalled = r.u8() != 0;
-      f.generation = static_cast<std::uint32_t>(r.u64());
-      f.stall_since = r.i64();
-      f.stalled_s = r.f64();
-      f.entry_cut = static_cast<std::int32_t>(r.i64());
-      f.exit_cut = static_cast<std::int32_t>(r.i64());
-      f.resources.resize(r.u64());
-      for (int& res : f.resources) res = static_cast<int>(r.i64());
-    }
-    for (auto& s : sources_) s->load_state(r);
-    for (auto& s : sinks_) s->load_state(r);
-    SPINELESS_CHECK_MSG((r.u8() != 0) == fault_active_,
-                        "hybrid snapshot fault block mismatch — snapshot "
-                        "and run disagree on whether faults are armed");
-    if (fault_active_) {
-      cursor_ = r.u64();
-      SPINELESS_CHECK_MSG(r.u64() == link_states_.size(),
-                          "hybrid snapshot fault link-state count mismatch");
-      for (FluidLinkState& s : link_states_) {
-        s.down = r.u8() != 0;
-        s.routed_out = r.u8() != 0;
-        s.degrade_factor = r.f64();
-        s.gray_factor = r.f64();
-        s.open_outage = static_cast<std::int32_t>(r.i64());
-        bfs_->set_link_dead(s.link, s.routed_out);
-        apply_capacity(s);
-      }
-      outages_.resize(r.u64());
-      for (FluidOutage& o : outages_) {
-        o.link = static_cast<topo::LinkId>(r.i64());
-        o.t_down = r.i64();
-        o.t_routed_out = r.i64();
-        o.t_restored = r.i64();
-        o.t_routed_in = r.i64();
-        o.boundary = r.u8() != 0;
-      }
-      repins_.resize(r.u64());
-      for (BoundaryRepin& p : repins_) {
-        p.flow = r.i64();
-        p.from_cut = static_cast<std::int32_t>(r.i64());
-        p.to_cut = static_cast<std::int32_t>(r.i64());
-        p.at = r.i64();
-      }
-    }
-  }
+  void save_state(sim::SnapshotWriter& w) const override { fields(w, *this); }
+  void load_state(sim::SnapshotReader& r) override { fields(r, *this); }
 
  private:
+  // The HYBR payload, one field list for save and restore.
+  template <class Io, class Self>
+  static void fields(Io& io, Self& self) {
+    sim::section_version(io, sim::kSectionHybrid, kHybridSectionVersion);
+    io.u64(self.windows_);
+    io.u64(self.solves_);
+    io.u64(self.solves_skipped_);
+    io.u64(self.active_sig_);
+    io.f64(self.peak_pre_);
+    io.f64(self.peak_post_);
+    io.expect(self.fluid_.size(), "hybrid snapshot fluid flow count mismatch");
+    for (auto& f : self.fluid_) {
+      io.f64(f.remaining);
+      io.f64(f.rate);
+      io.f64(f.cap);
+      io.f64(f.cap_at_solve);
+      io.i64(f.delivered_last);
+      io.i64(f.finish);
+      io.u8(f.active);
+      io.u8(f.done);
+      io.u8(f.stalled);
+      io.u64(f.generation);
+      io.i64(f.stall_since);
+      io.f64(f.stalled_s);
+      io.i64(f.entry_cut);
+      io.i64(f.exit_cut);
+      // The current fluid route: re-paths move it off the classification.
+      io.seq(f.resources, [](auto& io, auto& res) { io.i64(res); });
+    }
+    for (auto& src : self.sources_) io.part(*src);
+    for (auto& sink : self.sinks_) io.part(*sink);
+    io.template expect<std::uint8_t>(
+        self.fault_active_,
+        "hybrid snapshot fault block mismatch — snapshot and run disagree "
+        "on whether faults are armed");
+    if (!self.fault_active_) return;
+    io.u64(self.cursor_);
+    io.expect(self.link_states_.size(),
+              "hybrid snapshot fault link-state count mismatch");
+    for (auto& l : self.link_states_) {
+      io.u8(l.down);
+      io.u8(l.routed_out);
+      io.f64(l.degrade_factor);
+      io.f64(l.gray_factor);
+      io.i64(l.open_outage);
+      if constexpr (!Io::kSaving) {
+        self.bfs_->set_link_dead(l.link, l.routed_out);
+        self.apply_capacity(l);
+      }
+    }
+    io.seq(self.outages_, [](auto& io, auto& o) {
+      io.i64(o.link);
+      io.i64(o.t_down);
+      io.i64(o.t_routed_out);
+      io.i64(o.t_restored);
+      io.i64(o.t_routed_in);
+      io.u8(o.boundary);
+    });
+    io.seq(self.repins_, [](auto& io, auto& p) {
+      io.i64(p.flow);
+      io.i64(p.from_cut);
+      io.i64(p.to_cut);
+      io.i64(p.at);
+    });
+  }
+
   // The problem holds only the resources active flows cross, renumbered
   // in id order. Filling treats resources independently and visits them in
   // id order either way, so the rates are bit-identical to a solve over

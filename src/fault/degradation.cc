@@ -34,30 +34,25 @@ void DegradationMonitor::on_event(Simulator& sim, std::uint64_t /*ctx*/) {
   if (sim.now() + interval_ <= until_) sim.schedule_after(interval_, this, 0);
 }
 
+template <class Io, class Self>
+void DegradationMonitor::fields(Io& io, Self& s) {
+  io.i64(s.until_);
+  io.seq(s.samples_, [](auto& io, auto& x) {
+    io.i64(x.t);
+    io.i64(x.delivered_bytes);
+    io.i64(x.blackhole_drops);
+    io.i64(x.gray_drops);
+    io.i64(x.corrupt_drops);
+    io.i64(x.no_route_drops);
+  });
+}
+
 void DegradationMonitor::save_state(sim::SnapshotWriter& w) const {
-  w.i64(until_);
-  w.u64(samples_.size());
-  for (const Sample& s : samples_) {
-    w.i64(s.t);
-    w.i64(s.delivered_bytes);
-    w.i64(s.blackhole_drops);
-    w.i64(s.gray_drops);
-    w.i64(s.corrupt_drops);
-    w.i64(s.no_route_drops);
-  }
+  fields(w, *this);
 }
 
 void DegradationMonitor::load_state(sim::SnapshotReader& r) {
-  until_ = r.i64();
-  samples_.resize(r.u64());
-  for (Sample& s : samples_) {
-    s.t = r.i64();
-    s.delivered_bytes = r.i64();
-    s.blackhole_drops = r.i64();
-    s.gray_drops = r.i64();
-    s.corrupt_drops = r.i64();
-    s.no_route_drops = r.i64();
-  }
+  fields(r, *this);
 }
 
 double DegradationMonitor::mean_goodput_bps(Time from, Time to) const {

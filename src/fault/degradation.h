@@ -77,6 +77,9 @@ class DegradationMonitor : public sim::EventSink, public sim::Checkpointable {
   Time interval_;
   Time until_ = 0;
   std::vector<Sample> samples_;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& self);
 };
 
 }  // namespace spineless::fault

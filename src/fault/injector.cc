@@ -62,13 +62,10 @@ class FaultInjector::BfdRx : public sim::EventSink {
       inj_->schedule_repair(sim, link_, /*up=*/false);
     }
   }
-  void save_state(sim::SnapshotWriter& w) const {
-    w.i64(last_rx_);
-    w.u8(down_ ? 1 : 0);
-  }
-  void load_state(sim::SnapshotReader& r) {
-    last_rx_ = r.i64();
-    down_ = r.u8() != 0;
+  template <class Io, class Self>
+  static void fields(Io& io, Self& s) {
+    io.i64(s.last_rx_);
+    io.u8(s.down_);
   }
 
  private:
@@ -276,65 +273,43 @@ void FaultInjector::collect_sinks(sim::SinkRegistry& reg) {
   }
 }
 
-void FaultInjector::save_state(sim::SnapshotWriter& w) const {
-  w.i64(hello_until_);
-  w.u64(num_sessions_);
-  for (std::size_t idx = 0; idx < num_sessions_; ++idx)
-    rx_[idx].save_state(w);
-  w.u64(link_log_.size());
-  for (const LinkLog& log : link_log_) {
-    w.u32(static_cast<std::uint32_t>(log.open_outage));
-    w.u32(static_cast<std::uint32_t>(log.open_gray));
+template <class Io, class Self>
+void FaultInjector::fields(Io& io, Self& s) {
+  io.i64(s.hello_until_);
+  io.expect(s.num_sessions_,
+            "snapshot BFD session count does not match the reconstructed "
+            "fabric");
+  for (std::size_t idx = 0; idx < s.num_sessions_; ++idx)
+    BfdRx::fields(io, s.rx_[idx]);
+  io.expect(s.link_log_.size(),
+            "snapshot link log count does not match the reconstructed "
+            "fabric");
+  for (auto& log : s.link_log_) {
+    io.u32(log.open_outage);
+    io.u32(log.open_gray);
   }
-  w.u64(outages_.size());
-  for (const Outage& o : outages_) {
-    w.i64(static_cast<std::int64_t>(o.link));
-    w.i64(o.t_down);
-    w.i64(o.t_detected);
-    w.i64(o.t_routed_out);
-    w.i64(o.t_restored);
-    w.i64(o.t_up_detected);
-    w.i64(o.t_routed_in);
-  }
-  w.u64(gray_windows_.size());
-  for (const GrayWindow& g : gray_windows_) {
-    w.i64(static_cast<std::int64_t>(g.link));
-    w.i64(g.from);
-    w.i64(g.until);
-    w.u8(g.detected ? 1 : 0);
-  }
+  io.seq(s.outages_, [](auto& io, auto& o) {
+    io.i64(o.link);
+    io.i64(o.t_down);
+    io.i64(o.t_detected);
+    io.i64(o.t_routed_out);
+    io.i64(o.t_restored);
+    io.i64(o.t_up_detected);
+    io.i64(o.t_routed_in);
+  });
+  io.seq(s.gray_windows_, [](auto& io, auto& g) {
+    io.i64(g.link);
+    io.i64(g.from);
+    io.i64(g.until);
+    io.u8(g.detected);
+  });
 }
 
-void FaultInjector::load_state(sim::SnapshotReader& r) {
-  hello_until_ = r.i64();
-  SPINELESS_CHECK_MSG(
-      r.u64() == num_sessions_,
-      "snapshot BFD session count does not match the reconstructed fabric");
-  for (std::size_t idx = 0; idx < num_sessions_; ++idx)
-    rx_[idx].load_state(r);
-  SPINELESS_CHECK(r.u64() == link_log_.size());
-  for (LinkLog& log : link_log_) {
-    log.open_outage = static_cast<int>(r.u32());
-    log.open_gray = static_cast<int>(r.u32());
-  }
-  outages_.resize(r.u64());
-  for (Outage& o : outages_) {
-    o.link = static_cast<topo::LinkId>(r.i64());
-    o.t_down = r.i64();
-    o.t_detected = r.i64();
-    o.t_routed_out = r.i64();
-    o.t_restored = r.i64();
-    o.t_up_detected = r.i64();
-    o.t_routed_in = r.i64();
-  }
-  gray_windows_.resize(r.u64());
-  for (GrayWindow& g : gray_windows_) {
-    g.link = static_cast<topo::LinkId>(r.i64());
-    g.from = r.i64();
-    g.until = r.i64();
-    g.detected = r.u8() != 0;
-  }
+void FaultInjector::save_state(sim::SnapshotWriter& w) const {
+  fields(w, *this);
 }
+
+void FaultInjector::load_state(sim::SnapshotReader& r) { fields(r, *this); }
 
 FaultInjector::Report FaultInjector::report(Time end) const {
   Report r;

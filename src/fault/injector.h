@@ -172,6 +172,9 @@ class FaultInjector : public sim::EventSink,
   std::vector<LinkLog> link_log_;
   std::vector<Outage> outages_;
   std::vector<GrayWindow> gray_windows_;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& self);
 };
 
 }  // namespace spineless::fault

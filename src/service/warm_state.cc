@@ -199,6 +199,21 @@ void WarmState::build_fresh() {
   baseline_fluid_.completed = f.completed;
 }
 
+template <class Io, class Self>
+void WarmState::baseline_fields(Io& io, Self& self) {
+  io.section(kBaselineTag, [&] {
+    io.template expect<std::uint32_t>(kBaselineVersion,
+                                      "baseline format version mismatch");
+    for (auto* b : {&self.baseline_packet_, &self.baseline_fluid_}) {
+      io.f64(b->p50_ms);
+      io.f64(b->p99_ms);
+      io.u64(b->flows);
+      io.u64(b->completed);
+      io.f64(b->goodput_bps);
+    }
+  });
+}
+
 bool WarmState::try_restore_persisted() {
   if (cfg_.snapshot_dir.empty()) return false;
   try {
@@ -214,16 +229,7 @@ bool WarmState::try_restore_persisted() {
     }
     sim::SnapshotReader br(std::move(base));
     if (br.config_hash() != warm_hash_) return false;
-    br.expect_section(kBaselineTag);
-    if (br.u32() != kBaselineVersion) return false;
-    for (BaselineResult* b : {&baseline_packet_, &baseline_fluid_}) {
-      b->p50_ms = br.f64();
-      b->p99_ms = br.f64();
-      b->flows = br.u64();
-      b->completed = br.u64();
-      b->goodput_bps = br.f64();
-    }
-    br.end_section();
+    baseline_fields(br, *this);
     warm_bytes_ = std::move(warm);
   } catch (const std::exception&) {
     return false;  // corrupt / stale snapshot: rebuild from scratch
@@ -243,16 +249,7 @@ void WarmState::persist() const {
       util::atomic_write_file(cfg_.snapshot_dir + kWarmFile, warm_bytes_),
       "service: cannot persist warm snapshot to " << cfg_.snapshot_dir);
   sim::SnapshotWriter w(warm_hash_);
-  w.begin_section(kBaselineTag);
-  w.u32(kBaselineVersion);
-  for (const BaselineResult* b : {&baseline_packet_, &baseline_fluid_}) {
-    w.f64(b->p50_ms);
-    w.f64(b->p99_ms);
-    w.u64(b->flows);
-    w.u64(b->completed);
-    w.f64(b->goodput_bps);
-  }
-  w.end_section();
+  baseline_fields(w, *this);
   SPINELESS_CHECK_MSG(w.write_file(cfg_.snapshot_dir + kBaselineFile),
                       "service: cannot persist baseline scalars to "
                           << cfg_.snapshot_dir);

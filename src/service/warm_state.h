@@ -138,6 +138,9 @@ class WarmState {
   void build_fresh();
   bool try_restore_persisted();
   void persist() const;
+  // The baseline-scalars file's one field list (persist and restore).
+  template <class Io, class Self>
+  static void baseline_fields(Io& io, Self& self);
 
   std::uint64_t workload_seed(std::uint64_t salt) const;
   workload::RackTm make_tm(const std::string& kind, std::uint64_t seed) const;

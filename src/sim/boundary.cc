@@ -76,38 +76,33 @@ void BoundarySource::transmit(Simulator& sim) {
   net_.inject_from_host(sim, pkt);
 }
 
-void BoundarySource::save_state(SnapshotWriter& w) const {
+template <class Io, class Self>
+void BoundarySource::fields(Io& io, Self& s) {
   // Endpoints and phase key are snapshot state since a boundary-fault
   // retarget() can have moved them off their construction-time values.
-  w.i64(static_cast<std::int64_t>(src_));
-  w.i64(static_cast<std::int64_t>(dst_));
-  w.u64(phase_key_);
-  w.u64(epoch_);
-  w.i64(rate_bps_);
-  w.i64(remaining_);
-  w.i64(interval_);
-  w.i64(seq_);
-  w.i64(packets_sent_);
+  io.i64(s.src_);
+  io.i64(s.dst_);
+  if constexpr (!Io::kSaving) {
+    s.dst_tor_ = s.net_.graph().tor_of_host(s.dst_);
+    // The shard must follow the restored src — the reconstructed source
+    // was built at its pre-fault pinning. Preserve the priority counter
+    // the PRIO section already restored (set_event_identity resets it).
+    const std::uint64_t prio = s.prio_state();
+    s.set_event_identity(s.event_oid(), s.net_.shard_of_host(s.src_));
+    s.restore_prio_state(prio);
+  }
+  io.u64(s.phase_key_);
+  io.u64(s.epoch_);
+  io.i64(s.rate_bps_);
+  io.i64(s.remaining_);
+  io.i64(s.interval_);
+  io.i64(s.seq_);
+  io.i64(s.packets_sent_);
 }
 
-void BoundarySource::load_state(SnapshotReader& r) {
-  src_ = static_cast<topo::HostId>(r.i64());
-  dst_ = static_cast<topo::HostId>(r.i64());
-  dst_tor_ = net_.graph().tor_of_host(dst_);
-  phase_key_ = r.u64();
-  // The shard must follow the restored src — the reconstructed source was
-  // built at its pre-fault pinning. Preserve the priority counter the PRIO
-  // section already restored (set_event_identity resets it).
-  const std::uint64_t prio = prio_state();
-  set_event_identity(event_oid(), net_.shard_of_host(src_));
-  restore_prio_state(prio);
-  epoch_ = r.u64();
-  rate_bps_ = r.i64();
-  remaining_ = r.i64();
-  interval_ = r.i64();
-  seq_ = r.i64();
-  packets_sent_ = r.i64();
-}
+void BoundarySource::save_state(SnapshotWriter& w) const { fields(w, *this); }
+
+void BoundarySource::load_state(SnapshotReader& r) { fields(r, *this); }
 
 void BoundarySink::on_packet(Simulator& sim, const Packet& pkt) {
   SPINELESS_DCHECK(!pkt.is_ack);
@@ -117,18 +112,15 @@ void BoundarySink::on_packet(Simulator& sim, const Packet& pkt) {
   if (delivered_ >= target_) finish_ = sim.now();
 }
 
-void BoundarySink::save_state(SnapshotWriter& w) const {
-  w.i64(target_);
-  w.i64(delivered_);
-  w.i64(finish_);
+template <class Io, class Self>
+void BoundarySink::fields(Io& io, Self& s) {
+  io.expect(s.target_, "boundary sink target mismatch on restore");
+  io.i64(s.delivered_);
+  io.i64(s.finish_);
 }
 
-void BoundarySink::load_state(SnapshotReader& r) {
-  const std::int64_t target = r.i64();
-  SPINELESS_CHECK_MSG(target == target_,
-                      "boundary sink target mismatch on restore");
-  delivered_ = r.i64();
-  finish_ = r.i64();
-}
+void BoundarySink::save_state(SnapshotWriter& w) const { fields(w, *this); }
+
+void BoundarySink::load_state(SnapshotReader& r) { fields(r, *this); }
 
 }  // namespace spineless::sim

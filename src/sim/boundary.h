@@ -81,6 +81,9 @@ class BoundarySource : public EventSink, public Endpoint {
   Time interval_ = 0;            // inter-packet gap at rate_bps_
   std::int64_t seq_ = 0;         // next packet index (monotonic across programs)
   std::int64_t packets_sent_ = 0;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& self);
 };
 
 // Counts delivered payload bytes toward a fixed flow-size target and pins
@@ -103,6 +106,9 @@ class BoundarySink : public Endpoint {
   std::int64_t target_;
   std::int64_t delivered_ = 0;
   Time finish_ = -1;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& self);
 };
 
 }  // namespace spineless::sim

@@ -8,6 +8,19 @@
 #include "util/fsio.h"
 
 namespace spineless::sim {
+
+// The SUMM section's totals, in SummaryField order: save writes them,
+// restore cross-checks the restored state against them, and the auditor
+// checks packet conservation and the TTL bound with them.
+struct SummaryTotals {
+  std::uint64_t now = 0;
+  std::uint64_t processed = 0;
+  std::uint64_t packet_events = 0;  // pending packet-carrying events
+  std::uint64_t queued_nodes = 0;
+  std::uint64_t queued_bytes = 0;
+  std::uint64_t max_hops = 0;  // over in-flight and queued packets
+};
+
 namespace {
 
 // Section tags after the summary, in the order they are written. Parts
@@ -22,17 +35,9 @@ constexpr std::uint32_t kSectionGlobals = 0x474c424c;  // "GLBL"
 // above that escaped the TTL guard.
 constexpr std::uint64_t kMaxLiveHops = 64;
 
-// The SUMM section's totals, in SummaryField order: save writes them,
-// restore cross-checks the restored state against them, and the auditor
-// checks packet conservation and the TTL bound with them.
-struct SummaryTotals {
-  std::uint64_t now = 0;
-  std::uint64_t processed = 0;
-  std::uint64_t packet_events = 0;  // pending packet-carrying events
-  std::uint64_t queued_nodes = 0;
-  std::uint64_t queued_bytes = 0;
-  std::uint64_t max_hops = 0;  // over in-flight and queued packets
-};
+// An event's t, prio, oid and ctx kind, then at least a u64 ctx word (a
+// packet-carrying event's packet is longer).
+constexpr std::size_t kMinEventBytes = 8 + 8 + 4 + 1 + 8;
 
 SummaryTotals summary_totals(const EngineView& view, const Network& net,
                              const SinkRegistry& registry) {
@@ -152,43 +157,38 @@ void SinkRegistry::clear_and_reserve(std::size_t n) {
   by_oid_.reserve(n);
 }
 
-void PacketCodec::write(SnapshotWriter& w, const Packet& p) const {
-  w.i64(static_cast<std::int64_t>(p.src_host));
-  w.i64(static_cast<std::int64_t>(p.dst_host));
-  w.i64(static_cast<std::int64_t>(p.dst_tor));
-  w.i64(p.flow_id);
-  w.i64(p.seq);
-  w.u32(static_cast<std::uint32_t>(p.size_bytes));
-  w.u8(p.is_ack ? 1 : 0);
-  w.u8(static_cast<std::uint8_t>(p.vrf));
-  w.u8(p.hops);
-  w.u8(p.ecn_ce ? 1 : 0);
-  w.u8(p.corrupted ? 1 : 0);
-  w.i64(p.ts);
-  w.u8(p.route != nullptr ? 1 : 0);
-  w.u8(p.route_idx);
-}
-
-Packet PacketCodec::read(SnapshotReader& r) const {
-  Packet p;
-  p.src_host = static_cast<topo::HostId>(r.i64());
-  p.dst_host = static_cast<topo::HostId>(r.i64());
-  p.dst_tor = static_cast<topo::NodeId>(r.i64());
-  p.flow_id = static_cast<std::int32_t>(r.i64());
-  p.seq = r.i64();
-  p.size_bytes = static_cast<std::int32_t>(r.u32());
-  p.is_ack = r.u8() != 0;
-  p.vrf = static_cast<std::int8_t>(r.u8());
-  p.hops = r.u8();
-  p.ecn_ce = r.u8() != 0;
-  p.corrupted = r.u8() != 0;
-  p.ts = r.i64();
-  const bool has_route = r.u8() != 0;
-  p.route_idx = r.u8();
+template <class Io, class P>
+void PacketCodec::walk(Io& io, P& p) const {
+  io.i64(p.src_host);
+  io.i64(p.dst_host);
+  io.i64(p.dst_tor);
+  io.i64(p.flow_id);
+  io.i64(p.seq);
+  io.u32(p.size_bytes);
+  io.u8(p.is_ack);
+  io.u8(p.vrf);
+  io.u8(p.hops);
+  io.u8(p.ecn_ce);
+  io.u8(p.corrupted);
+  io.i64(p.ts);
+  bool has_route = p.route != nullptr;
+  io.u8(has_route);
+  io.u8(p.route_idx);
   // The route pointer aims into the owning Network's pinned route store;
   // re-resolve it by flow instead of serializing an address.
-  if (has_route) p.route = net_.route_for(p.flow_id, p.is_ack);
-  return p;
+  if constexpr (!Io::kSaving)
+    if (has_route) p.route = net_.route_for(p.flow_id, p.is_ack);
+}
+
+void PacketCodec::fields(SnapshotWriter& w, const Packet& p) const {
+  walk(w, p);
+}
+
+void PacketCodec::fields(SnapshotReader& r, Packet& p) const { walk(r, p); }
+
+std::size_t PacketCodec::wire_bytes() const {
+  return min_wire_bytes<Packet>(
+      [this](WireSize& size, const Packet& p) { walk(size, p); });
 }
 
 std::string AuditReport::to_string() const {
@@ -237,101 +237,120 @@ void CheckpointSession::build_registry() {
   for (Checkpointable* part : parts_) part->collect_sinks(registry_);
 }
 
-void CheckpointSession::write_events(
-    SnapshotWriter& w, const PacketCodec& codec,
-    const std::vector<Simulator::Event>& events) const {
-  w.u64(events.size());
-  for (const Simulator::Event& e : events) {
-    const SinkRegistry::Entry& entry = registry_.by_oid(e.sink->event_oid());
-    SPINELESS_CHECK_MSG(entry.sink == e.sink,
-                        "checkpoint: pending event whose sink aliases a "
-                        "registered oid but is not the registered sink");
-    w.i64(e.t);
-    w.u64(e.prio);
-    w.u32(e.sink->event_oid());
-    w.u8(static_cast<std::uint8_t>(entry.kind));
-    if (entry.kind == CtxKind::kPacketNode) {
-      codec.write(w, reinterpret_cast<const PacketNode*>(e.ctx)->pkt);
+template <class Io, class Events>
+void CheckpointSession::event_fields(Io& io, const PacketCodec& codec,
+                                     Events& events) const {
+  std::uint64_t n = events.size();
+  io.count(n, kMinEventBytes);
+  if constexpr (!Io::kSaving) events.resize(n);
+  for (auto& e : events) {
+    // Sinks travel as registry oids; restore maps them back.
+    const SinkRegistry::Entry* entry = nullptr;
+    std::uint32_t oid = 0;
+    CtxKind kind = CtxKind::kPlain;
+    if constexpr (Io::kSaving) {
+      oid = e.sink->event_oid();
+      entry = &registry_.by_oid(oid);
+      SPINELESS_CHECK_MSG(entry->sink == e.sink,
+                          "checkpoint: pending event whose sink aliases a "
+                          "registered oid but is not the registered sink");
+      kind = entry->kind;
+    }
+    io.i64(e.t);
+    io.u64(e.prio);
+    io.u32(oid);
+    io.u8(kind);
+    if constexpr (!Io::kSaving) {
+      entry = &registry_.by_oid(oid);
+      SPINELESS_CHECK_MSG(entry->kind == kind,
+                          "checkpoint: event ctx kind mismatch for oid "
+                              << oid);
+      e.sink = entry->sink;
+    }
+    if (kind != CtxKind::kPacketNode) {
+      io.u64(e.ctx);
+    } else if constexpr (Io::kSaving) {
+      codec.fields(io, reinterpret_cast<const PacketNode*>(e.ctx)->pkt);
     } else {
-      w.u64(e.ctx);
+      // Packet-carrying events re-allocate their node from the pool of the
+      // shard that owns the receiving sink.
+      Packet pkt;
+      codec.fields(io, pkt);
+      e.ctx = reinterpret_cast<std::uint64_t>(
+          net_.alloc_restored_node(entry->pool_shard, pkt));
     }
   }
 }
 
-std::vector<Simulator::Event> CheckpointSession::read_events(
-    SnapshotReader& r, const PacketCodec& codec) const {
-  std::vector<Simulator::Event> events(r.u64());
-  for (Simulator::Event& e : events) {
-    e.t = r.i64();
-    e.prio = r.u64();
-    const std::uint32_t oid = r.u32();
-    const auto kind = static_cast<CtxKind>(r.u8());
-    const SinkRegistry::Entry& entry = registry_.by_oid(oid);
-    SPINELESS_CHECK_MSG(static_cast<std::uint8_t>(entry.kind) ==
-                            static_cast<std::uint8_t>(kind),
-                        "checkpoint: event ctx kind mismatch for oid " << oid);
-    e.sink = entry.sink;
-    if (kind == CtxKind::kPacketNode) {
-      e.ctx = reinterpret_cast<std::uint64_t>(
-          net_.alloc_restored_node(entry.pool_shard, codec.read(r)));
-    } else {
-      e.ctx = r.u64();
+template <class Io>
+void CheckpointSession::walk(Io& io, EngineView eng, SummaryTotals& sum) {
+  const PacketCodec codec(net_);
+
+  // Summary: the redundant totals the restore path (and the negative
+  // tests) cross-check restored state against, in SummaryField order.
+  io.section(kSectionSummary, [&] {
+    io.u64(sum.now);
+    io.u64(sum.processed);
+    io.u64(sum.packet_events);
+    io.u64(sum.queued_nodes);
+    io.u64(sum.queued_bytes);
+    io.u64(sum.max_hops);
+  });
+
+  // Live priority counters, registry order.
+  io.section(kSectionPrio, [&] {
+    io.expect(registry_.size(),
+              "checkpoint: sink count mismatch — the experiment was not "
+              "reconstructed identically");
+    for (std::size_t i = 0; i < registry_.size(); ++i) {
+      EventSink* sink = registry_.at(i).sink;
+      std::uint64_t prio = sink->prio_state();
+      io.u64(prio);
+      if constexpr (!Io::kSaving) sink->restore_prio_state(prio);
     }
+  });
+
+  io.section(kSectionNet, [&] { io.part(net_, codec); });
+  for (Checkpointable* part : parts_)
+    io.section(part->section_tag(), [&] { io.part(*part); });
+
+  for (int i = 0; i < eng.num_sims(); ++i) {
+    io.section(kSectionEngine, [&] {
+      Simulator& sim = eng.sim(i);
+      Time now = sim.now();
+      std::uint64_t processed = sim.events_processed();
+      std::uint64_t root_key = sim.root_prio_state();
+      std::uint32_t lazy_oid = sim.lazy_oid_state();
+      io.i64(now);
+      io.u64(processed);
+      io.u64(root_key);
+      io.u32(lazy_oid);
+      if constexpr (Io::kSaving) {
+        event_fields(io, codec, sim.pending_events());
+      } else {
+        std::vector<Simulator::Event> events;
+        event_fields(io, codec, events);
+        sim.restore_state(now, processed, root_key, lazy_oid,
+                          std::move(events));
+      }
+    });
   }
-  return events;
+
+  if (eng.sharded() != nullptr) {
+    io.section(kSectionGlobals, [&] {
+      std::vector<Simulator::Event> events;
+      if constexpr (Io::kSaving) events = eng.sharded()->pending_globals();
+      event_fields(io, codec, events);
+      if constexpr (!Io::kSaving) eng.sharded()->restore_globals(events);
+    });
+  }
 }
 
 std::string CheckpointSession::save_bytes(EngineView eng) {
   build_registry();
-  const PacketCodec codec(net_);
+  SummaryTotals sum = summary_totals(eng, net_, registry_);
   SnapshotWriter w(config_hash_);
-
-  // Summary: the redundant totals the restore path (and the negative
-  // tests) cross-check restored state against.
-  const SummaryTotals sum = summary_totals(eng, net_, registry_);
-  w.begin_section(kSectionSummary);
-  w.u64(sum.now);            // kSummaryNow
-  w.u64(sum.processed);      // kSummaryProcessed
-  w.u64(sum.packet_events);  // kSummaryPacketEvents
-  w.u64(sum.queued_nodes);   // kSummaryQueuedNodes
-  w.u64(sum.queued_bytes);   // kSummaryQueuedBytes
-  w.u64(sum.max_hops);       // kSummaryMaxHops
-  w.end_section();
-
-  // Live priority counters, registry order.
-  w.begin_section(kSectionPrio);
-  w.u64(registry_.size());
-  for (std::size_t i = 0; i < registry_.size(); ++i)
-    w.u64(registry_.at(i).sink->prio_state());
-  w.end_section();
-
-  w.begin_section(kSectionNet);
-  net_.save_state(w, codec);
-  w.end_section();
-
-  for (const Checkpointable* part : parts_) {
-    w.begin_section(part->section_tag());
-    part->save_state(w);
-    w.end_section();
-  }
-
-  for (int i = 0; i < eng.num_sims(); ++i) {
-    const Simulator& sim = eng.sim(i);
-    w.begin_section(kSectionEngine);
-    w.i64(sim.now());
-    w.u64(sim.events_processed());
-    w.u64(sim.root_prio_state());
-    w.u32(sim.lazy_oid_state());
-    write_events(w, codec, sim.pending_events());
-    w.end_section();
-  }
-
-  if (eng.sharded() != nullptr) {
-    w.begin_section(kSectionGlobals);
-    write_events(w, codec, eng.sharded()->pending_globals());
-    w.end_section();
-  }
-
+  walk(w, eng, sum);
   return w.seal();
 }
 
@@ -355,53 +374,8 @@ void CheckpointSession::restore_bytes(std::string bytes, EngineView eng) {
         "experiment (different seed/topology/routing/intra_jobs?)");
   }
   build_registry();
-  const PacketCodec codec(net_);
-
   SummaryTotals want;
-  r.expect_section(kSectionSummary);
-  want.now = r.u64();
-  want.processed = r.u64();
-  want.packet_events = r.u64();
-  want.queued_nodes = r.u64();
-  want.queued_bytes = r.u64();
-  want.max_hops = r.u64();
-  r.end_section();
-
-  r.expect_section(kSectionPrio);
-  SPINELESS_CHECK_MSG(r.u64() == registry_.size(),
-                      "checkpoint: sink count mismatch — the experiment was "
-                      "not reconstructed identically");
-  for (std::size_t i = 0; i < registry_.size(); ++i)
-    registry_.at(i).sink->restore_prio_state(r.u64());
-  r.end_section();
-
-  r.expect_section(kSectionNet);
-  net_.load_state(r, codec);
-  r.end_section();
-
-  for (Checkpointable* part : parts_) {
-    r.expect_section(part->section_tag());
-    part->load_state(r);
-    r.end_section();
-  }
-
-  for (int i = 0; i < eng.num_sims(); ++i) {
-    r.expect_section(kSectionEngine);
-    const Time now = r.i64();
-    const std::uint64_t processed = r.u64();
-    const std::uint64_t root_key = r.u64();
-    const std::uint32_t lazy_oid = r.u32();
-    std::vector<Simulator::Event> events = read_events(r, codec);
-    r.end_section();
-    eng.sim(i).restore_state(now, processed, root_key, lazy_oid,
-                             std::move(events));
-  }
-
-  if (eng.sharded() != nullptr) {
-    r.expect_section(kSectionGlobals);
-    eng.sharded()->restore_globals(read_events(r, codec));
-    r.end_section();
-  }
+  walk(r, eng, want);
   SPINELESS_CHECK_MSG(r.at_end(), "checkpoint: trailing sections in snapshot");
 
   // Cross-check the restored state against the snapshot's own summary —
@@ -490,23 +464,8 @@ bool run_segments(EngineView eng, CheckpointSession* session,
   return true;
 }
 
-std::string section_tag_name(std::uint32_t tag) {
-  std::string name;
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    const char c = static_cast<char>((tag >> shift) & 0xff);
-    name += (c >= 0x20 && c < 0x7f) ? c : '?';
-  }
-  return name;
-}
-
-void write_section_version(SnapshotWriter& w, std::uint32_t tag,
+void check_section_version(std::uint64_t word, std::uint32_t tag,
                            std::uint32_t version) {
-  w.u64((static_cast<std::uint64_t>(tag) << 32) | version);
-}
-
-void expect_section_version(SnapshotReader& r, std::uint32_t tag,
-                            std::uint32_t version) {
-  const std::uint64_t word = r.u64();
   const auto got_tag = static_cast<std::uint32_t>(word >> 32);
   const auto got_version = static_cast<std::uint32_t>(word);
   if (got_tag != tag) {

@@ -70,14 +70,19 @@ class SinkRegistry {
 };
 
 // Serializes packets, re-resolving the source-route pointer (which is an
-// address into the owning Network) by flow id on read.
+// address into the owning Network) by flow id on restore.
 class PacketCodec {
  public:
   explicit PacketCodec(Network& net) : net_(net) {}
-  void write(SnapshotWriter& w, const Packet& p) const;
-  Packet read(SnapshotReader& r) const;
+  void fields(SnapshotWriter& w, const Packet& p) const;
+  void fields(SnapshotReader& r, Packet& p) const;
+  // Wire bytes of one packet (the bound on a restored packet count).
+  std::size_t wire_bytes() const;
 
  private:
+  template <class Io, class P>
+  void walk(Io& io, P& p) const;
+
   Network& net_;
 };
 
@@ -92,23 +97,27 @@ inline constexpr std::uint32_t kSectionHybrid = 0x48594252;    // "HYBR"
 // loop's HYBR state grew fault-tolerance fields in PR 8) leads its payload
 // with a single u64 word (tag << 32 | version) so version skew fails with a
 // section-named message instead of a checksum-adjacent misalignment:
-// write_section_version as the first word of save_state, expect_section_
-// version as the first read of load_state. A payload whose leading word
-// does not carry the tag in its high half predates versioning entirely —
-// reported as such, again by section name. The leading word is the
-// section's field 0, so snapshot_patch_u64(path, tag, 0, ...) can forge a
-// future version for forward-compat negative tests.
-void write_section_version(SnapshotWriter& w, std::uint32_t tag,
+// section_version is the first call of the owner's field list. A payload
+// whose leading word does not carry the tag in its high half predates
+// versioning entirely — reported as such, again by section name. The
+// leading word is the section's field 0, so snapshot_patch_u64(path, tag,
+// 0, ...) can forge a future version for forward-compat negative tests.
+//
+// check_section_version throws util Error when a restored version word is
+// not (tag, version).
+void check_section_version(std::uint64_t word, std::uint32_t tag,
                            std::uint32_t version);
-void expect_section_version(SnapshotReader& r, std::uint32_t tag,
-                            std::uint32_t version);
-// "HYBR" from 0x48594252 — for error messages.
-std::string section_tag_name(std::uint32_t tag);
+template <class Io>
+void section_version(Io& io, std::uint32_t tag, std::uint32_t version) {
+  std::uint64_t word = (std::uint64_t{tag} << 32) | version;
+  io.u64(word);
+  if constexpr (!Io::kSaving) check_section_version(word, tag, version);
+}
 
 // Anything beyond the Network that owns mutable simulation state and/or
-// event sinks: FlowDriver, FaultInjector, monitors. Implementations must
-// save/load in a fixed field order and register their sinks in
-// construction order.
+// event sinks: FlowDriver, FaultInjector, monitors. Implementations walk
+// one field list for save and load (snapshot.h) and register their sinks
+// in construction order.
 class Checkpointable {
  public:
   virtual ~Checkpointable() = default;
@@ -168,6 +177,8 @@ class EngineView {
   ShardedEngine* sharded_ = nullptr;
 };
 
+struct SummaryTotals;  // the SUMM section (checkpoint.cc)
+
 // Orchestrates save/restore/audit for one experiment: the Network plus any
 // registered Checkpointable parts, against a serial Simulator or a
 // ShardedEngine. config_hash must encode everything that determines the
@@ -204,10 +215,13 @@ class CheckpointSession {
 
  private:
   void build_registry();
-  void write_events(SnapshotWriter& w, const PacketCodec& codec,
-                    const std::vector<Simulator::Event>& events) const;
-  std::vector<Simulator::Event> read_events(SnapshotReader& r,
-                                            const PacketCodec& codec) const;
+  // Every section, in file order, in either direction: save walks the live
+  // state with the summary `sum`; restore loads it and fills `sum` with the
+  // snapshot's own summary.
+  template <class Io>
+  void walk(Io& io, EngineView eng, SummaryTotals& sum);
+  template <class Io, class Events>
+  void event_fields(Io& io, const PacketCodec& codec, Events& events) const;
 
   Network& net_;
   std::uint64_t config_hash_;

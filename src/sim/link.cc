@@ -1,6 +1,7 @@
 #include "sim/link.h"
 
 #include <algorithm>
+#include <array>
 
 #include "sim/checkpoint.h"
 
@@ -102,67 +103,63 @@ void Link::on_event(Simulator& sim, std::uint64_t) {
     busy_ = false;
 }
 
-void Link::save_state(SnapshotWriter& w, const PacketCodec& codec) const {
-  // Queue contents in FIFO order (head first).
+template <class Io, class Self>
+void Link::fields(Io& io, Self& s, const PacketCodec& codec) {
+  // Queue contents in FIFO order (head first). Restore re-allocates the
+  // nodes from this link's own pool.
   std::uint64_t n = 0;
-  for (const PacketNode* p = head_; p != nullptr; p = p->next) ++n;
-  w.u64(n);
-  for (const PacketNode* p = head_; p != nullptr; p = p->next)
-    codec.write(w, p->pkt);
-  w.i64(queued_bytes_);
-  w.u8(busy_ ? 1 : 0);
-  w.u8(down_ ? 1 : 0);
-  w.i64(rate_bps_);  // may be degraded below base_rate_bps_
-  w.u8(gray_ != nullptr ? 1 : 0);
-  if (gray_ != nullptr) {
-    w.f64(gray_->drop_prob);
-    w.f64(gray_->corrupt_prob);
-    w.rng_state(gray_->rng.state());  // mid-stream, NOT the seed
+  for (const PacketNode* p = s.head_; p != nullptr; p = p->next) ++n;
+  io.count(n, codec.wire_bytes());
+  if constexpr (Io::kSaving) {
+    for (const PacketNode* p = s.head_; p != nullptr; p = p->next)
+      codec.fields(io, p->pkt);
+  } else {
+    SPINELESS_CHECK(s.head_ == nullptr && s.tail_ == nullptr);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      Packet pkt;
+      codec.fields(io, pkt);
+      PacketNode* node = s.pool_->alloc(pkt);
+      node->next = nullptr;
+      if (s.tail_ == nullptr) {
+        s.head_ = s.tail_ = node;
+      } else {
+        s.tail_->next = node;
+        s.tail_ = node;
+      }
+    }
+    s.memo_size_ = -1;  // wall-clock-free cache; re-derive lazily
   }
-  w.i64(stats_.packets_tx);
-  w.i64(stats_.bytes_tx);
-  w.i64(stats_.drops);
-  w.i64(stats_.ecn_marks);
-  w.i64(stats_.max_queue_bytes);
-  w.i64(stats_.down_drops);
-  w.i64(stats_.gray_drops);
-  w.i64(stats_.corrupt_marks);
+  io.i64(s.queued_bytes_);
+  io.u8(s.busy_);
+  io.u8(s.down_);
+  io.i64(s.rate_bps_);  // may be degraded below base_rate_bps_
+  bool gray = s.gray_ != nullptr;
+  io.u8(gray);
+  if constexpr (!Io::kSaving)
+    s.gray_ = gray ? std::make_unique<GrayState>() : nullptr;
+  if (gray) {
+    io.f64(s.gray_->drop_prob);
+    io.f64(s.gray_->corrupt_prob);
+    std::array<std::uint64_t, 4> rng = s.gray_->rng.state();
+    io.rng_state(rng);  // mid-stream, NOT the seed
+    if constexpr (!Io::kSaving) s.gray_->rng.set_state(rng);
+  }
+  io.i64(s.stats_.packets_tx);
+  io.i64(s.stats_.bytes_tx);
+  io.i64(s.stats_.drops);
+  io.i64(s.stats_.ecn_marks);
+  io.i64(s.stats_.max_queue_bytes);
+  io.i64(s.stats_.down_drops);
+  io.i64(s.stats_.gray_drops);
+  io.i64(s.stats_.corrupt_marks);
+}
+
+void Link::save_state(SnapshotWriter& w, const PacketCodec& codec) const {
+  fields(w, *this, codec);
 }
 
 void Link::load_state(SnapshotReader& r, const PacketCodec& codec) {
-  SPINELESS_CHECK(head_ == nullptr && tail_ == nullptr);
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    PacketNode* node = pool_->alloc(codec.read(r));
-    node->next = nullptr;
-    if (tail_ == nullptr) {
-      head_ = tail_ = node;
-    } else {
-      tail_->next = node;
-      tail_ = node;
-    }
-  }
-  queued_bytes_ = r.i64();
-  busy_ = r.u8() != 0;
-  down_ = r.u8() != 0;
-  rate_bps_ = r.i64();
-  memo_size_ = -1;  // wall-clock-free cache; re-derive lazily
-  if (r.u8() != 0) {
-    gray_ = std::make_unique<GrayState>();
-    gray_->drop_prob = r.f64();
-    gray_->corrupt_prob = r.f64();
-    gray_->rng.set_state(r.rng_state());
-  } else {
-    gray_.reset();
-  }
-  stats_.packets_tx = r.i64();
-  stats_.bytes_tx = r.i64();
-  stats_.drops = r.i64();
-  stats_.ecn_marks = r.i64();
-  stats_.max_queue_bytes = r.i64();
-  stats_.down_drops = r.i64();
-  stats_.gray_drops = r.i64();
-  stats_.corrupt_marks = r.i64();
+  fields(r, *this, codec);
 }
 
 Link::QueueAudit Link::audit_queue() const {

@@ -160,6 +160,10 @@ class Link : public EventSink {
                                     // degraded below it (set_rate_factor)
   std::unique_ptr<GrayState> gray_;
   Stats stats_;
+
+  // The one field list save_state and load_state walk.
+  template <class Io, class Self>
+  static void fields(Io& io, Self& self, const PacketCodec& codec);
 };
 
 }  // namespace spineless::sim

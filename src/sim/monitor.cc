@@ -26,25 +26,19 @@ void QueueMonitor::on_event(Simulator& sim, std::uint64_t /*ctx*/) {
   if (sim.now() + interval_ <= until_) sim.schedule_after(interval_, this, 0);
 }
 
-void QueueMonitor::save_state(SnapshotWriter& w) const {
-  w.i64(until_);
-  w.u64(samples_.size());
-  for (const Sample& s : samples_) {
-    w.i64(s.t);
-    w.i64(s.total_bytes);
-    w.i64(s.max_bytes);
-  }
+template <class Io, class Self>
+void QueueMonitor::fields(Io& io, Self& s) {
+  io.i64(s.until_);
+  io.seq(s.samples_, [](auto& io, auto& x) {
+    io.i64(x.t);
+    io.i64(x.total_bytes);
+    io.i64(x.max_bytes);
+  });
 }
 
-void QueueMonitor::load_state(SnapshotReader& r) {
-  until_ = r.i64();
-  samples_.resize(r.u64());
-  for (Sample& s : samples_) {
-    s.t = r.i64();
-    s.total_bytes = r.i64();
-    s.max_bytes = r.i64();
-  }
-}
+void QueueMonitor::save_state(SnapshotWriter& w) const { fields(w, *this); }
+
+void QueueMonitor::load_state(SnapshotReader& r) { fields(r, *this); }
 
 Summary QueueMonitor::max_queue_pkts() const {
   Summary s;

@@ -59,6 +59,9 @@ class QueueMonitor : public EventSink, public Checkpointable {
   Time interval_;
   Time until_ = 0;
   std::vector<Sample> samples_;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& self);
 };
 
 }  // namespace spineless::sim

@@ -539,24 +539,18 @@ Network::UtilizationStats Network::utilization_stats(Time elapsed) const {
   return s;
 }
 
-void Network::FlowletTable::save_state(SnapshotWriter& w) const {
-  w.u64(slots_.size());
-  w.u64(size_);
-  for (const Slot& s : slots_) {
-    w.i64(s.flow);
-    w.i64(s.state.last);
-    w.u32(s.state.id);
-  }
-}
-
-void Network::FlowletTable::load_state(SnapshotReader& r) {
-  slots_.assign(r.u64(), Slot{});
-  size_ = r.u64();
-  for (Slot& s : slots_) {
-    s.flow = static_cast<std::int32_t>(r.i64());
-    s.state.last = r.i64();
-    s.state.id = r.u32();
-  }
+template <class Io, class Self>
+void Network::FlowletTable::fields(Io& io, Self& t) {
+  const auto slot_fields = [](auto& io, auto& slot) {
+    io.i64(slot.flow);
+    io.i64(slot.state.last);
+    io.u32(slot.state.id);
+  };
+  std::uint64_t n = t.slots_.size();
+  io.count(n, min_wire_bytes<Slot>(slot_fields));
+  io.u64(t.size_);
+  if constexpr (!Io::kSaving) t.slots_.assign(n, Slot{});
+  for (auto& slot : t.slots_) slot_fields(io, slot);
 }
 
 void Network::collect_sinks(SinkRegistry& reg) {
@@ -578,101 +572,84 @@ void Network::collect_sinks(SinkRegistry& reg) {
 
 namespace {
 
-void save_link_set(SnapshotWriter& w, const routing::LinkSet& set,
-                   topo::LinkId num_links) {
-  // LinkSet has no iteration — membership-scan the (small) id space.
-  w.u64(set.size());
-  for (topo::LinkId l = 0; l < num_links; ++l)
-    if (set.contains(l)) w.i64(l);
+// LinkSet has no iteration — save membership-scans the (small) id space;
+// restore range-checks every id (LinkSet::insert sizes itself by the id).
+template <class Io, class Set>
+void link_set_fields(Io& io, Set& set, topo::LinkId num_links) {
+  std::uint64_t n = set.size();
+  io.count(n, 8);
+  if constexpr (Io::kSaving) {
+    for (topo::LinkId l = 0; l < num_links; ++l)
+      if (set.contains(l)) io.i64(l);
+  } else {
+    set.clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      std::int64_t l = 0;
+      io.i64(l);
+      if (l < 0 || l >= num_links)
+        io.fail("link id " + std::to_string(l) + " outside [0, " +
+                std::to_string(num_links) + ")");
+      set.insert(static_cast<topo::LinkId>(l));
+    }
+  }
 }
 
-routing::LinkSet load_link_set(SnapshotReader& r) {
-  routing::LinkSet set;
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i)
-    set.insert(static_cast<topo::LinkId>(r.i64()));
-  return set;
-}
-
-void save_net_stats(SnapshotWriter& w, const Network::NetStats& s) {
-  w.i64(s.queue_drops);
-  w.i64(s.ttl_drops);
-  w.i64(s.no_route_drops);
-  w.i64(s.delivered);
-  w.i64(s.blackhole_drops);
-  w.i64(s.gray_drops);
-  w.i64(s.corrupt_drops);
-  w.i64(s.delivered_bytes);
-}
-
-void load_net_stats(SnapshotReader& r, Network::NetStats* s) {
-  s->queue_drops = r.i64();
-  s->ttl_drops = r.i64();
-  s->no_route_drops = r.i64();
-  s->delivered = r.i64();
-  s->blackhole_drops = r.i64();
-  s->gray_drops = r.i64();
-  s->corrupt_drops = r.i64();
-  s->delivered_bytes = r.i64();
+template <class Io, class Stats>
+void net_stats_fields(Io& io, Stats& s) {
+  io.i64(s.queue_drops);
+  io.i64(s.ttl_drops);
+  io.i64(s.no_route_drops);
+  io.i64(s.delivered);
+  io.i64(s.blackhole_drops);
+  io.i64(s.gray_drops);
+  io.i64(s.corrupt_drops);
+  io.i64(s.delivered_bytes);
 }
 
 }  // namespace
 
-void Network::save_state(SnapshotWriter& w, const PacketCodec& codec) const {
+template <class Io, class Self>
+void Network::fields(Io& io, Self& s, const PacketCodec& codec) {
   // Shape guards: a snapshot from a different topology/config must fail
   // loudly at load, not misalign silently.
-  w.u64(static_cast<std::uint64_t>(graph_.num_switches()));
-  w.u64(static_cast<std::uint64_t>(graph_.total_servers()));
-  w.u64(static_cast<std::uint64_t>(graph_.num_links()));
-  w.u32(next_oid_);
-  for (const ShardStats& stripe : shard_stats_) save_net_stats(w, stripe.s);
-  for (const Link& l : net_links_) l.save_state(w, codec);
-  for (const Link& l : host_up_) l.save_state(w, codec);
-  for (const Link& l : host_down_) l.save_state(w, codec);
-  save_link_set(w, down_links_, graph_.num_links());
-  save_link_set(w, installed_dead_, graph_.num_links());
-  w.u64(pending_repair_.size());
-  for (const topo::LinkId l : pending_repair_) w.i64(l);
-  w.u64(flowlets_.size());
-  for (const FlowletTable& t : flowlets_) t.save_state(w);
-  w.u64(traces_.size());
-  for (const routing::Path& p : traces_) {
-    w.u64(p.size());
-    for (const NodeId n : p) w.i64(n);
-  }
-}
-
-void Network::load_state(SnapshotReader& r, const PacketCodec& codec) {
-  SPINELESS_CHECK_MSG(
-      r.u64() == static_cast<std::uint64_t>(graph_.num_switches()) &&
-          r.u64() == static_cast<std::uint64_t>(graph_.total_servers()) &&
-          r.u64() == static_cast<std::uint64_t>(graph_.num_links()),
-      "snapshot topology shape does not match this network");
-  SPINELESS_CHECK_MSG(r.u32() == next_oid_,
-                      "snapshot oid space does not match — the experiment "
-                      "was not reconstructed identically");
-  for (ShardStats& stripe : shard_stats_) load_net_stats(r, &stripe.s);
-  for (Link& l : net_links_) l.load_state(r, codec);
-  for (Link& l : host_up_) l.load_state(r, codec);
-  for (Link& l : host_down_) l.load_state(r, codec);
-  const routing::LinkSet down = load_link_set(r);
-  const routing::LinkSet installed = load_link_set(r);
-  std::vector<topo::LinkId> pending(r.u64());
-  for (topo::LinkId& l : pending) l = static_cast<topo::LinkId>(r.i64());
+  const char* shape = "snapshot topology shape does not match this network";
+  io.expect(s.graph_.num_switches(), shape);
+  io.expect(s.graph_.total_servers(), shape);
+  io.expect(s.graph_.num_links(), shape);
+  io.template expect<std::uint32_t>(
+      s.next_oid_,
+      "snapshot oid space does not match — the experiment was not "
+      "reconstructed identically");
+  for (auto& stripe : s.shard_stats_) net_stats_fields(io, stripe.s);
+  for (auto& l : s.net_links_) io.part(l, codec);
+  for (auto& l : s.host_up_) io.part(l, codec);
+  for (auto& l : s.host_down_) io.part(l, codec);
+  link_set_fields(io, s.down_links_, s.graph_.num_links());
+  link_set_fields(io, s.installed_dead_, s.graph_.num_links());
   // Forwarding tables are rebuilt (deterministic functions of graph +
   // installed dead set), not serialized; the wall time this takes lands in
   // table_build_s_, which is excluded from byte-identity comparisons.
-  if (!installed.empty()) rebuild_tables(&installed);
-  down_links_ = down;
-  pending_repair_ = std::move(pending);
-  const std::uint64_t n_flowlets = r.u64();
-  SPINELESS_CHECK(n_flowlets == flowlets_.size());
-  for (FlowletTable& t : flowlets_) t.load_state(r);
-  traces_.resize(r.u64());
-  for (routing::Path& p : traces_) {
-    p.resize(r.u64());
-    for (NodeId& n : p) n = static_cast<NodeId>(r.i64());
+  if constexpr (!Io::kSaving) {
+    if (!s.installed_dead_.empty()) {
+      const routing::LinkSet installed = s.installed_dead_;
+      s.rebuild_tables(&installed);
+    }
   }
+  io.seq(s.pending_repair_, [](auto& io, auto& l) { io.i64(l); });
+  io.expect(s.flowlets_.size(),
+            "snapshot flowlet table count does not match this network");
+  for (auto& t : s.flowlets_) FlowletTable::fields(io, t);
+  io.seq(s.traces_, [](auto& io, auto& path) {
+    io.seq(path, [](auto& io, auto& n) { io.i64(n); });
+  });
+}
+
+void Network::save_state(SnapshotWriter& w, const PacketCodec& codec) const {
+  fields(w, *this, codec);
+}
+
+void Network::load_state(SnapshotReader& r, const PacketCodec& codec) {
+  fields(r, *this, codec);
 }
 
 const routing::Path* Network::route_for(std::int32_t flow_id,

@@ -391,8 +391,8 @@ class Network {
 
     // Checkpoint support: the slot array round-trips verbatim so probe
     // sequences (and thus flowlet ids) after restore match exactly.
-    void save_state(SnapshotWriter& w) const;
-    void load_state(SnapshotReader& r);
+    template <class Io, class Self>
+    static void fields(Io& io, Self& table);
 
    private:
     struct Slot {
@@ -426,6 +426,10 @@ class Network {
     NetStats s;
   };
   std::vector<ShardStats> shard_stats_;
+
+  // The one field list save_state and load_state walk.
+  template <class Io, class Self>
+  static void fields(Io& io, Self& self, const PacketCodec& codec);
 };
 
 }  // namespace spineless::sim

@@ -11,28 +11,15 @@ namespace {
 
 constexpr std::size_t kHeaderSize = 8 + 4 + 8;  // magic + version + hash
 
-void put_u32(std::string* buf, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
+// Fixed-width little-endian integers of `width` bytes.
+void put_le(std::string* buf, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i)
     buf->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
-void put_u64(std::string* buf, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    buf->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t get_u32(const std::string& buf, std::size_t pos) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(
-             static_cast<unsigned char>(buf[pos + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::string& buf, std::size_t pos) {
+std::uint64_t get_le(const std::string& buf, std::size_t pos, int width) {
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
+  for (int i = 0; i < width; ++i)
     v |= static_cast<std::uint64_t>(
              static_cast<unsigned char>(buf[pos + static_cast<std::size_t>(i)]))
          << (8 * i);
@@ -64,18 +51,27 @@ HashChain& HashChain::mix(const std::string& s) noexcept {
   return *this;
 }
 
+std::string section_tag_name(std::uint32_t tag) {
+  std::string name;
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    const char c = static_cast<char>((tag >> shift) & 0xff);
+    name += (c >= 0x20 && c < 0x7f) ? c : '?';
+  }
+  return name;
+}
+
 SnapshotWriter::SnapshotWriter(std::uint64_t config_hash) {
   buf_.append(kSnapshotMagic, sizeof kSnapshotMagic);
-  put_u32(&buf_, kSnapshotVersion);
-  put_u64(&buf_, config_hash);
+  put_le(&buf_, kSnapshotVersion, 4);
+  put_le(&buf_, config_hash, 8);
 }
 
 void SnapshotWriter::begin_section(std::uint32_t tag) {
   SPINELESS_CHECK(!in_section_);
   in_section_ = true;
-  put_u32(&buf_, tag);
+  put_le(&buf_, tag, 4);
   section_len_at_ = buf_.size();
-  put_u64(&buf_, 0);  // patched by end_section
+  put_le(&buf_, 0, 8);  // patched by end_section
 }
 
 void SnapshotWriter::end_section() {
@@ -85,35 +81,15 @@ void SnapshotWriter::end_section() {
                 buf_.size() - (section_len_at_ + 8));
 }
 
-void SnapshotWriter::u8(std::uint8_t v) {
+void SnapshotWriter::put(std::uint64_t v, int width) {
   SPINELESS_CHECK(in_section_);
-  buf_.push_back(static_cast<char>(v));
-}
-
-void SnapshotWriter::u32(std::uint32_t v) {
-  SPINELESS_CHECK(in_section_);
-  put_u32(&buf_, v);
-}
-
-void SnapshotWriter::u64(std::uint64_t v) {
-  SPINELESS_CHECK(in_section_);
-  put_u64(&buf_, v);
-}
-
-void SnapshotWriter::i64(std::int64_t v) {
-  u64(static_cast<std::uint64_t>(v));
+  put_le(&buf_, v, width);
 }
 
 void SnapshotWriter::f64(double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof bits);
   u64(bits);
-}
-
-void SnapshotWriter::str(const std::string& s) {
-  u64(s.size());
-  SPINELESS_CHECK(in_section_);
-  buf_ += s;
 }
 
 void SnapshotWriter::rng_state(const std::array<std::uint64_t, 4>& s) {
@@ -123,7 +99,7 @@ void SnapshotWriter::rng_state(const std::array<std::uint64_t, 4>& s) {
 std::string SnapshotWriter::seal() const {
   SPINELESS_CHECK(!in_section_);
   std::string out = buf_;
-  put_u64(&out, fnv1a(out));
+  put_le(&out, fnv1a(out), 8);
   return out;
 }
 
@@ -138,14 +114,14 @@ SnapshotReader::SnapshotReader(std::string bytes) : bytes_(std::move(bytes)) {
       std::memcmp(bytes_.data(), kSnapshotMagic, sizeof kSnapshotMagic) == 0,
       "not a spineless snapshot (bad magic)");
   payload_end_ = bytes_.size() - 8;
-  const std::uint64_t want = get_u64(bytes_, payload_end_);
+  const std::uint64_t want = get_le(bytes_, payload_end_, 8);
   const std::uint64_t got = fnv1a({bytes_.data(), payload_end_});
   SPINELESS_CHECK_MSG(want == got, "snapshot checksum mismatch (corrupt)");
-  const std::uint32_t version = get_u32(bytes_, 8);
+  const std::uint64_t version = get_le(bytes_, 8, 4);
   SPINELESS_CHECK_MSG(version == kSnapshotVersion,
                       "snapshot version " << version << ", expected "
                                           << kSnapshotVersion);
-  config_hash_ = get_u64(bytes_, 12);
+  config_hash_ = get_le(bytes_, 12, 8);
   pos_ = kHeaderSize;
 }
 
@@ -157,23 +133,46 @@ bool SnapshotReader::load_file(const std::string& path,
   return true;
 }
 
-void SnapshotReader::need(std::size_t n) const {
-  SPINELESS_CHECK_MSG(in_section_ && pos_ + n <= section_end_,
-                      "snapshot section overrun");
+void SnapshotReader::fail(const std::string& what) const {
+  throw Error("snapshot section '" + section_tag_name(section_tag_) +
+              "': " + what);
+}
+
+std::uint64_t SnapshotReader::take(int width) {
+  if (!in_section_ || static_cast<std::size_t>(width) > section_end_ - pos_)
+    fail("section overrun");
+  const std::uint64_t v = get_le(bytes_, pos_, width);
+  pos_ += static_cast<std::size_t>(width);
+  return v;
+}
+
+std::uint64_t SnapshotReader::take_count(std::size_t min_bytes,
+                                         std::size_t per) {
+  const std::uint64_t n = take(8);
+  const std::uint64_t units = n / per + (n % per != 0 ? 1 : 0);
+  const std::size_t left = section_end_ - pos_;
+  if (min_bytes > 0 && units > left / min_bytes) {
+    fail("count " + std::to_string(n) + " needs at least " +
+         std::to_string(min_bytes) + " bytes per " +
+         (per > 1 ? std::to_string(per) + " elements" : "element") +
+         ", but only " + std::to_string(left) + " bytes are left");
+  }
+  return n;
 }
 
 void SnapshotReader::expect_section(std::uint32_t tag) {
   SPINELESS_CHECK(!in_section_);
   SPINELESS_CHECK_MSG(pos_ + 12 <= payload_end_,
                       "snapshot ends before section " << tag);
-  const std::uint32_t got = get_u32(bytes_, pos_);
+  const auto got = static_cast<std::uint32_t>(get_le(bytes_, pos_, 4));
   SPINELESS_CHECK_MSG(got == tag, "snapshot section " << got << ", expected "
                                                       << tag);
-  const std::uint64_t len = get_u64(bytes_, pos_ + 4);
+  const std::uint64_t len = get_le(bytes_, pos_ + 4, 8);
   pos_ += 12;
-  SPINELESS_CHECK_MSG(pos_ + len <= payload_end_,
+  SPINELESS_CHECK_MSG(len <= payload_end_ - pos_,
                       "snapshot section " << tag << " overruns file");
   section_end_ = pos_ + len;
+  section_tag_ = tag;
   in_section_ = true;
 }
 
@@ -184,48 +183,14 @@ void SnapshotReader::end_section() {
   in_section_ = false;
 }
 
-std::uint8_t SnapshotReader::u8() {
-  need(1);
-  return static_cast<std::uint8_t>(bytes_[pos_++]);
-}
-
-std::uint32_t SnapshotReader::u32() {
-  need(4);
-  const std::uint32_t v = get_u32(bytes_, pos_);
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t SnapshotReader::u64() {
-  need(8);
-  const std::uint64_t v = get_u64(bytes_, pos_);
-  pos_ += 8;
-  return v;
-}
-
-std::int64_t SnapshotReader::i64() {
-  return static_cast<std::int64_t>(u64());
-}
-
-double SnapshotReader::f64() {
-  const std::uint64_t bits = u64();
-  double v;
+void SnapshotReader::f64(double& v) {
+  std::uint64_t bits = 0;
+  u64(bits);
   std::memcpy(&v, &bits, sizeof v);
-  return v;
 }
 
-std::string SnapshotReader::str() {
-  const std::uint64_t n = u64();
-  need(n);
-  std::string s = bytes_.substr(pos_, n);
-  pos_ += n;
-  return s;
-}
-
-std::array<std::uint64_t, 4> SnapshotReader::rng_state() {
-  std::array<std::uint64_t, 4> s;
-  for (auto& w : s) w = u64();
-  return s;
+void SnapshotReader::rng_state(std::array<std::uint64_t, 4>& s) {
+  for (auto& w : s) u64(w);
 }
 
 bool SnapshotReader::at_end() const noexcept {
@@ -241,8 +206,8 @@ void snapshot_patch_u64(const std::string& path, std::uint32_t tag,
   const std::size_t payload_end = bytes.size() - 8;
   std::size_t pos = kHeaderSize;
   while (pos + 12 <= payload_end) {
-    const std::uint32_t got = get_u32(bytes, pos);
-    const std::uint64_t len = get_u64(bytes, pos + 4);
+    const auto got = static_cast<std::uint32_t>(get_le(bytes, pos, 4));
+    const std::uint64_t len = get_le(bytes, pos + 4, 8);
     pos += 12;
     if (got == tag) {
       const std::size_t at = pos + field_index * 8;

@@ -244,89 +244,52 @@ void TcpSink::on_packet(Simulator& sim, const Packet& data) {
   net_.inject_from_host(sim, ack);
 }
 
-void TcpSource::save_state(SnapshotWriter& w) const {
-  w.i64(snd_next_);
-  w.i64(cum_);
-  w.f64(cwnd_);
-  w.f64(ssthresh_);
-  w.u32(static_cast<std::uint32_t>(dupacks_));
-  w.u8(in_recovery_ ? 1 : 0);
-  w.i64(recover_);
-  w.f64(dctcp_alpha_);
-  w.i64(dctcp_marked_);
-  w.i64(dctcp_acked_);
-  w.i64(dctcp_window_end_);
-  w.i64(srtt_);
-  w.i64(rttvar_);
-  w.i64(rto_);
-  w.u32(static_cast<std::uint32_t>(backoff_));
-  w.i64(rto_deadline_);
-  w.u64(pending_fires_.size());
-  for (Time t : pending_fires_) w.i64(t);
-  w.i64(record_.start);
-  w.i64(record_.finish);
-  w.i64(record_.retransmits);
-  w.i64(record_.timeouts);
-  w.u8(started_ ? 1 : 0);
-  sink_->save_state(w);
-}
-
-void TcpSource::load_state(SnapshotReader& r) {
-  snd_next_ = r.i64();
-  cum_ = r.i64();
-  cwnd_ = r.f64();
-  ssthresh_ = r.f64();
-  dupacks_ = static_cast<int>(r.u32());
-  in_recovery_ = r.u8() != 0;
-  recover_ = r.i64();
-  dctcp_alpha_ = r.f64();
-  dctcp_marked_ = r.i64();
-  dctcp_acked_ = r.i64();
-  dctcp_window_end_ = r.i64();
-  srtt_ = r.i64();
-  rttvar_ = r.i64();
-  rto_ = r.i64();
-  backoff_ = static_cast<int>(r.u32());
-  rto_deadline_ = r.i64();
-  pending_fires_.clear();
-  const std::uint64_t fires = r.u64();
-  pending_fires_.reserve(fires);
-  for (std::uint64_t i = 0; i < fires; ++i) pending_fires_.push_back(r.i64());
-  record_.start = r.i64();
-  record_.finish = r.i64();
-  record_.retransmits = r.i64();
-  record_.timeouts = r.i64();
-  started_ = r.u8() != 0;
-  sink_->load_state(r);
-}
-
-void TcpSink::save_state(SnapshotWriter& w) const {
-  w.i64(next_expected_);
-  w.u64(received_.size());
-  std::uint64_t word = 0;
-  for (std::size_t i = 0; i < received_.size(); ++i) {
-    if (received_[i]) word |= std::uint64_t{1} << (i % 64);
-    if (i % 64 == 63) {
-      w.u64(word);
-      word = 0;
-    }
+template <class Io, class Self>
+void TcpSink::fields(Io& io, Self& s) {
+  io.i64(s.next_expected_);
+  // The out-of-order flags, bit-packed 64 to a word.
+  std::uint64_t n = s.received_.size();
+  io.count(n, 8, 64);
+  if constexpr (!Io::kSaving) s.received_.assign(n, false);
+  for (std::uint64_t base = 0; base < n; base += 64) {
+    const std::uint64_t bits = std::min<std::uint64_t>(64, n - base);
+    std::uint64_t word = 0;
+    for (std::uint64_t i = 0; i < bits; ++i)
+      if (s.received_[base + i]) word |= std::uint64_t{1} << i;
+    io.u64(word);
+    if constexpr (!Io::kSaving)
+      for (std::uint64_t i = 0; i < bits; ++i)
+        s.received_[base + i] = ((word >> i) & 1) != 0;
   }
-  if (received_.size() % 64 != 0) w.u64(word);
-  w.i64(static_cast<std::int64_t>(ack_dst_));
-  w.i64(static_cast<std::int64_t>(ack_tor_));
+  io.i64(s.ack_dst_);
+  io.i64(s.ack_tor_);
 }
 
-void TcpSink::load_state(SnapshotReader& r) {
-  next_expected_ = r.i64();
-  const std::uint64_t n = r.u64();
-  received_.assign(n, false);
-  std::uint64_t word = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (i % 64 == 0) word = r.u64();
-    received_[i] = ((word >> (i % 64)) & 1) != 0;
-  }
-  ack_dst_ = static_cast<topo::HostId>(r.i64());
-  ack_tor_ = static_cast<topo::NodeId>(r.i64());
+template <class Io, class Self>
+void TcpSource::fields(Io& io, Self& s) {
+  io.i64(s.snd_next_);
+  io.i64(s.cum_);
+  io.f64(s.cwnd_);
+  io.f64(s.ssthresh_);
+  io.u32(s.dupacks_);
+  io.u8(s.in_recovery_);
+  io.i64(s.recover_);
+  io.f64(s.dctcp_alpha_);
+  io.i64(s.dctcp_marked_);
+  io.i64(s.dctcp_acked_);
+  io.i64(s.dctcp_window_end_);
+  io.i64(s.srtt_);
+  io.i64(s.rttvar_);
+  io.i64(s.rto_);
+  io.u32(s.backoff_);
+  io.i64(s.rto_deadline_);
+  io.seq(s.pending_fires_, [](auto& io, auto& t) { io.i64(t); });
+  io.i64(s.record_.start);
+  io.i64(s.record_.finish);
+  io.i64(s.record_.retransmits);
+  io.i64(s.record_.timeouts);
+  io.u8(s.started_);
+  TcpSink::fields(io, *s.sink_);
 }
 
 std::int32_t FlowDriver::add_flow(Simulator& sim, topo::HostId src,
@@ -345,17 +308,16 @@ void FlowDriver::collect_sinks(SinkRegistry& reg) {
   for (auto& f : flows_) reg.add(f.get(), CtxKind::kPlain);
 }
 
-void FlowDriver::save_state(SnapshotWriter& w) const {
-  w.u64(flows_.size());
-  for (const auto& f : flows_) f->save_state(w);
+template <class Io, class Self>
+void FlowDriver::fields(Io& io, Self& s) {
+  io.expect(s.flows_.size(),
+            "snapshot flow count does not match the reconstructed workload");
+  for (auto& f : s.flows_) TcpSource::fields(io, *f);
 }
 
-void FlowDriver::load_state(SnapshotReader& r) {
-  SPINELESS_CHECK_MSG(
-      r.u64() == flows_.size(),
-      "snapshot flow count does not match the reconstructed workload");
-  for (auto& f : flows_) f->load_state(r);
-}
+void FlowDriver::save_state(SnapshotWriter& w) const { fields(w, *this); }
+
+void FlowDriver::load_state(SnapshotReader& r) { fields(r, *this); }
 
 std::size_t FlowDriver::completed_flows() const {
   std::size_t n = 0;

@@ -72,11 +72,12 @@ class TcpSource : public EventSink, public Endpoint {
 
   double dctcp_alpha() const noexcept { return dctcp_alpha_; }
 
-  // Checkpoint support: fixed-order dump of the full sender state plus the
-  // paired sink's reassembly state. load_state is only valid on a flow that
-  // was reconstructed identically (same id/src/dst/bytes/config).
-  void save_state(SnapshotWriter& w) const;
-  void load_state(SnapshotReader& r);
+  // Checkpoint support (driven by FlowDriver): the full sender state plus
+  // the paired sink's reassembly state, one field list for save and
+  // restore. Restore is only valid on a flow that was reconstructed
+  // identically (same id/src/dst/bytes/config).
+  template <class Io, class Self>
+  static void fields(Io& io, Self& self);
 
  private:
   void send_available(Simulator& sim);
@@ -144,8 +145,8 @@ class TcpSink : public Endpoint {
   std::int64_t cumulative() const noexcept { return next_expected_; }
 
   // Checkpoint support (driven by the owning TcpSource).
-  void save_state(SnapshotWriter& w) const;
-  void load_state(SnapshotReader& r);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& self);
 
  private:
   Network& net_;
@@ -183,6 +184,9 @@ class FlowDriver : public Checkpointable {
   Network& net_;
   TcpConfig cfg_;
   std::vector<std::unique_ptr<TcpSource>> flows_;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& self);
 };
 
 }  // namespace spineless::sim
