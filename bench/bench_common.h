@@ -595,7 +595,11 @@ class ResumableSweep {
         policy_(retry_policy_from(flags)),
         journal_(flags.get("json_out", "BENCH_" + bench + ".json") +
                      ".sweep.journal",
-                 bench, config_sig, resume_) {}
+                 bench, config_sig, resume_) {
+    // The cell checkpoints of a discarded journal's run would fail their
+    // configuration check on restore; start those cells afresh.
+    if (journal_.discarded()) remove_recovery_files();
+  }
 
   const util::RetryPolicy& policy() const noexcept { return policy_; }
   util::SweepJournal& journal() noexcept { return journal_; }
@@ -633,6 +637,13 @@ class ResumableSweep {
   void finish(std::size_t n) {
     for (std::size_t i = 0; i < n; ++i)
       util::remove_file(checkpoint_path(i));
+    remove_recovery_files();
+    journal_.remove();
+  }
+
+ private:
+  // Every file named "<journal>.*": cell checkpoints and orphaned temps.
+  void remove_recovery_files() const {
     namespace fs = std::filesystem;
     const fs::path journal(journal_.path());
     const fs::path dir =
@@ -647,10 +658,8 @@ class ResumableSweep {
         fs::remove(it->path(), rm_ec);
       }
     }
-    journal_.remove();
   }
 
- private:
   bool resume_;
   bool audit_;
   double checkpoint_ms_;

@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/throughput_experiment.h"
 #include "flowsim/fluid_network.h"
+#include "routing/bfs_sampler.h"
 #include "topo/builders.h"
 #include "topo/expand.h"
 #include "util/table.h"
@@ -33,7 +33,7 @@ using topo::HostId;
 double mean_rate(const Graph& g,
                  const std::vector<std::pair<HostId, HostId>>& pairs,
                  std::uint64_t seed) {
-  core::PathSampler sampler(g, sim::RoutingMode::kShortestUnion, 2);
+  routing::BfsSampler sampler(g, 2);
   flowsim::FluidNetwork net(g, 10e9);
   Rng rng(seed);
   for (const auto& [a, b] : pairs) {

@@ -135,7 +135,8 @@ int run_faults(const Flags& flags) {
   const std::string config_sig =
       "hybrid_faults m=" + std::to_string(m) +
       " m_big=" + std::to_string(m_big) + " n=" +
-      std::to_string(tors_per_supernode) + " hot=" +
+      std::to_string(tors_per_supernode) +
+      " servers=" + std::to_string(servers_per_tor) + " hot=" +
       std::to_string(hot_flows) + " bg=" + std::to_string(bg_flows) +
       " bytes=" + std::to_string(bytes) +
       " window=" + std::to_string(static_cast<long long>(window)) +

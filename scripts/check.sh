@@ -124,6 +124,25 @@ awk '
     printf "hybrid-fault smoke: %d cells, fluid outages live, recovery >= 95%%, hash pinned\n", cells
   }' RS=',|\n' FS=':' hybrid_fault_smoke.json
 
+echo "== fig6 rng smoke (10k-switch hybrid pair) =="
+# The one CI run of the fluid path sampler above 4096 switches, where it
+# used to switch from the all-pairs tables to a shortest-path-only walk:
+# the 10k-switch DRing/RRG pair of bench_fig6_scale's rng tier (~1 s).
+# Both result_hash values are pinned. The DRing cell's flows hold one
+# adjacent ToR pair, which Shortest-Union(2) routes over its two-hop paths
+# too; the RRG cell's hold none.
+./build/bench/bench_fig6_scale --scale=rng --m_hi=2500 \
+  --json_out=fig6_rng_smoke.json
+awk '
+  /"result_hash":/ { pinned[$NF]++ }
+  END {
+    if (pinned["6922344057423829514"] != 1 ||
+        pinned["11453787558926274784"] != 1) {
+      print "fig6 rng smoke: a pinned result_hash is missing"; exit 1
+    }
+    print "fig6 rng smoke: DRing and RRG 10k result hashes pinned"
+  }' RS=',|\n' FS=':' fig6_rng_smoke.json
+
 echo "== serving smoke (spinelessd) =="
 # The full robustness ladder at process level: SIGTERM graceful drain with
 # an in-flight request, then kill -9 -> restart -> replay byte-identity

@@ -11,13 +11,20 @@
 # The resumed BENCH JSON must equal the clean one modulo wall-clock timing
 # fields (wall_s, total_wall_s, events_per_sec, table_build_s).
 #
-# Usage: kill_resume_smoke.sh <bench binary> <work dir> [bench args...]
+# KILLED_ARGS (optional environment) adds flags to the killed run only, so
+# its journal and checkpoints belong to another configuration: the resumed
+# run must discard them rather than reuse them, and still equal the clean
+# run.
+#
+# Usage: [KILLED_ARGS="..."] kill_resume_smoke.sh <bench binary> <work dir>
+#        [bench args...]
 set -u
 
 BENCH="$1"
 DIR="$2"
 shift 2
 ARGS=("$@" --jobs=1)
+read -r -a KILLED <<< "${KILLED_ARGS:-}"
 JOURNAL=kill.json.sweep.journal
 
 rm -rf "$DIR"
@@ -33,7 +40,8 @@ echo "== clean run =="
 
 echo "== killed run =="
 rm -f kill.json "$JOURNAL"*
-"$BENCH" "${ARGS[@]}" --json_out=kill.json --resume >/dev/null 2>&1 &
+"$BENCH" "${ARGS[@]}" ${KILLED[@]+"${KILLED[@]}"} --json_out=kill.json \
+  --resume >/dev/null 2>&1 &
 PID=$!
 while [[ "$(records)" -lt 1 ]]; do
   if ! kill -0 "$PID" 2>/dev/null; then

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "core/throughput_experiment.h"
 #include "flowsim/flow_level_sim.h"
+#include "routing/bfs_sampler.h"
 #include "sim/sharded_engine.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -89,7 +89,8 @@ FctResult run_fct_experiment_fluid(const topo::Graph& g,
   Rng rng(cfg.seed);
   const auto specs = generate_experiment_flows(g, tm, cfg, rng);
 
-  PathSampler paths(g, cfg.net.mode, cfg.net.su_k);
+  routing::BfsSampler paths(g, sim::shortest_union_k(cfg.net.mode,
+                                                      cfg.net.su_k));
   flowsim::FlowLevelSimulator fluid(
       g, static_cast<double>(cfg.net.link_rate_bps));
   for (const auto& f : specs) {

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "core/hybrid_fault.h"
-#include "core/throughput_experiment.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "flowsim/flow_level_sim.h"
@@ -27,11 +26,6 @@ namespace spineless::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-// Full-graph path sampling: below this switch count the mode-aware
-// PathSampler (ECMP / Shortest-Union tables) is affordable; above it the
-// all-pairs table build is O(V*E) per destination and routing::BfsSampler
-// (a BFS walk with a bounded distance-array cache) takes over.
-constexpr topo::NodeId kPathTableThreshold = 4096;
 constexpr std::uint64_t kPathStreamSalt = 0x70617468ULL;    // "path"
 constexpr std::uint64_t kBoundarySalt = 0x424e4459ULL;      // "BNDY"
 constexpr std::uint64_t kRepathSalt = 0x72657061ULL;        // "repa"
@@ -229,7 +223,7 @@ class HybridLoop : public sim::Checkpointable {
     last_topo_ = last_topo;
     // Re-paths avoid the hot set (its traffic is the packet half's) and
     // every routed-out link.
-    bfs_ = std::make_unique<routing::BfsSampler>(g, cut.in_region);
+    bfs_ = std::make_unique<routing::BfsSampler>(g, 1, cut.in_region);
     link_state_of_.assign(static_cast<std::size_t>(g.num_links()), -1);
     // One FluidLinkState per distinct faulted link, in first-event order —
     // a pure function of the plan, so the save/load layout is static.
@@ -890,16 +884,11 @@ HybridResult run_hybrid_experiment_flows(
   Rng path_rng(splitmix64(cfg.fct.seed ^ kPathStreamSalt));
   std::vector<routing::Path> paths;
   paths.reserve(specs.size());
-  if (g.num_switches() <= kPathTableThreshold) {
-    PathSampler sampler(g, cfg.fct.net.mode, cfg.fct.net.su_k);
-    for (const workload::FlowSpec& f : specs) {
-      paths.push_back(sampler.sample(g.tor_of_host(f.src),
-                                     g.tor_of_host(f.dst), path_rng));
-    }
-  } else {
+  {
     // Scoped: its distance cache (up to 64 arrays of num_switches ints)
     // must not outlive set-up.
-    routing::BfsSampler sampler(g);
+    routing::BfsSampler sampler(
+        g, sim::shortest_union_k(cfg.fct.net.mode, cfg.fct.net.su_k));
     for (const workload::FlowSpec& f : specs) {
       paths.push_back(sampler.sample(g.tor_of_host(f.src),
                                      g.tor_of_host(f.dst), path_rng));

@@ -1,45 +1,13 @@
 #include "core/throughput_experiment.h"
 
 #include "flowsim/fluid_network.h"
+#include "routing/bfs_sampler.h"
 #include "sim/tcp.h"
 #include "util/error.h"
+#include "util/rng.h"
 #include "workload/cs_model.h"
 
 namespace spineless::core {
-
-PathSampler::PathSampler(const topo::Graph& g, sim::RoutingMode mode,
-                         int su_k)
-    : mode_(mode), k_(su_k) {
-  if (mode_ == sim::RoutingMode::kShortestUnion) {
-    vrf_ = std::make_unique<routing::VrfTable>(
-        routing::VrfTable::compute(g, su_k));
-  } else {
-    ecmp_ = routing::EcmpTable::compute(g);
-  }
-}
-
-routing::Path PathSampler::sample(topo::NodeId src, topo::NodeId dst,
-                                  Rng& rng) const {
-  if (mode_ == sim::RoutingMode::kEcmp) {
-    routing::Path path = routing::sample_ecmp_path(ecmp_, src, dst, rng);
-    SPINELESS_CHECK_MSG(!path.empty(), "graph is disconnected");
-    return path;
-  }
-  routing::Path path{src};
-  topo::NodeId node = src;
-  int vrf = k_;
-  int guard = 0;
-  while (node != dst) {
-    SPINELESS_CHECK_MSG(++guard <= 64, "path sampling did not terminate");
-    const auto& hops = vrf_->next_hops(node, vrf, dst);
-    SPINELESS_CHECK(!hops.empty());
-    const auto& h = hops[rng.uniform(hops.size())];
-    node = h.port.neighbor;
-    vrf = h.next_vrf;
-    path.push_back(node);
-  }
-  return path;
-}
 
 ThroughputResult run_cs_throughput(const topo::Graph& g, int c, int s,
                                    const ThroughputConfig& cfg) {
@@ -47,7 +15,7 @@ ThroughputResult run_cs_throughput(const topo::Graph& g, int c, int s,
   const auto sets = workload::make_cs_sets(g, c, s, rng);
   const auto pairs = workload::cs_flow_pairs(sets, cfg.max_pairs, rng);
 
-  PathSampler sampler(g, cfg.mode, cfg.su_k);
+  routing::BfsSampler sampler(g, sim::shortest_union_k(cfg.mode, cfg.su_k));
   flowsim::FluidNetwork net(g, cfg.link_rate_bps);
   for (const auto& [src, dst] : pairs) {
     const auto path =

@@ -1,38 +1,16 @@
 // C-S model throughput experiment (the paper's §6.2 / Figure 5): pack C
 // clients and S servers per the C-S model, run one long flow per
 // client-server pair (downsampled for huge products), route each flow the
-// way hashed ECMP / Shortest-Union forwarding would, and compute max-min
-// fair rates in the fluid model.
+// way hashed ECMP / Shortest-Union forwarding would (routing::BfsSampler),
+// and compute max-min fair rates in the fluid model.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
-#include "routing/ecmp.h"
-#include "routing/types.h"
-#include "routing/vrf.h"
 #include "sim/network.h"
 #include "topo/graph.h"
-#include "util/rng.h"
 
 namespace spineless::core {
-
-// Samples one forwarding path for a flow by walking the hop-by-hop next-hop
-// tables with uniform random tie-breaks — the fluid-model analogue of
-// per-hop ECMP hashing. Builds only the table its mode walks: ECMP
-// (routing::sample_ecmp_path) or Shortest-Union VRFs.
-class PathSampler {
- public:
-  PathSampler(const topo::Graph& g, sim::RoutingMode mode, int su_k);
-
-  routing::Path sample(topo::NodeId src, topo::NodeId dst, Rng& rng) const;
-
- private:
-  sim::RoutingMode mode_;
-  routing::EcmpTable ecmp_;
-  std::unique_ptr<routing::VrfTable> vrf_;
-  int k_ = 0;
-};
 
 struct ThroughputConfig {
   double link_rate_bps = 10e9;

@@ -1,8 +1,9 @@
-// Shortest-path walk sampler for graphs too large for all-pairs next-hop
-// tables (the hybrid engine above its table threshold, and its fluid
-// re-paths around failed links): BFS distances toward the destination,
-// then a walk from the source that picks uniformly among the neighbors one
-// hop closer — hop-by-hop ECMP without the O(V^2) tables.
+// The fluid side's one path sampler: a hop-by-hop walk over the implicit
+// VRF graph of Shortest-Union(K) (routing/vrf.h) that draws one
+// rng.uniform per hop among the tight virtual edges, in VrfTable's next-hop
+// order, so its draws equal the all-pairs table walk's without the O(V^2)
+// tables. ECMP is SU(1). Every VRF distance follows from one cached BFS
+// row per destination (doc/architecture.md, "Path sampling").
 #pragma once
 
 #include <cstdint>
@@ -20,15 +21,23 @@ namespace spineless::routing {
 
 class BfsSampler {
  public:
-  // excluded: optional per-switch mask (nonzero = no path passes THROUGH
-  // that switch; a path's own endpoints are exempt). It must outlive the
+  // k: the Shortest-Union parameter (1 = ECMP). excluded: optional
+  // per-switch mask (nonzero = no path passes THROUGH that switch; a
+  // path's own endpoints are exempt), K = 1 only. It must outlive the
   // sampler.
-  explicit BfsSampler(const Graph& g, std::span<const char> excluded = {})
-      : g_(g), excluded_(excluded) {}
+  explicit BfsSampler(const Graph& g, int k = 1,
+                      std::span<const char> excluded = {})
+      : g_(g), k_(k), excluded_(excluded) {
+    SPINELESS_CHECK(k >= 1 && (excluded.empty() || k == 1));
+  }
 
   // One path src .. dst, drawing one rng.uniform per hop; empty when dst
   // is unreachable over live links and non-excluded switches.
   Path sample(NodeId src, NodeId dst, Rng& rng);
+
+  // VrfTable::distance(node, vrf, dst) over the live links, from the BFS
+  // row alone (kInfCost when unreachable).
+  int distance(NodeId node, int vrf, NodeId dst);
 
   // Marks a link failed (routed around) or live again. Either call drops
   // the distance cache.
@@ -48,15 +57,20 @@ class BfsSampler {
   template <bool kFiltered>
   Path walk(NodeId src, NodeId dst, const std::vector<std::int32_t>& dist,
             Rng& rng);
+  int vrf_distance(const std::vector<std::int32_t>& dist, NodeId dst,
+                   NodeId n, int j) const;
+  bool walk_exists(const std::vector<std::int32_t>& dist, NodeId n,
+                   int len) const;
   bool masked(NodeId n) const {
     return excluded_[static_cast<std::size_t>(n)] != 0;
   }
 
   const Graph& g_;
+  int k_;
   std::span<const char> excluded_;
   LinkSet dead_;
   std::vector<std::pair<NodeId, std::vector<std::int32_t>>> cache_;
-  std::vector<NodeId> scratch_;
+  std::vector<std::pair<NodeId, int>> scratch_;  // (neighbor, next VRF)
 };
 
 }  // namespace spineless::routing

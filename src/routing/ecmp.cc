@@ -4,7 +4,6 @@
 #include <deque>
 
 #include "topo/analysis.h"
-#include "util/rng.h"
 #include "util/runner.h"
 
 namespace spineless::routing {
@@ -221,18 +220,6 @@ std::vector<NodeId> EcmpTable::splice_link_change(const Graph& g,
   }
   recompute_destinations(g, &dead, dsts, runner);
   return dsts;
-}
-
-Path sample_ecmp_path(const EcmpTable& table, NodeId src, NodeId dst,
-                      Rng& rng) {
-  if (table.distance(src, dst) < 0) return {};
-  Path path{src};
-  for (NodeId node = src; node != dst;) {
-    const auto hops = table.next_hops(node, dst);
-    node = hops[rng.uniform(hops.size())].neighbor;
-    path.push_back(node);
-  }
-  return path;
 }
 
 bool ecmp_table_valid(const Graph& g, const EcmpTable& table,

@@ -9,22 +9,7 @@
 #include "util/runner.h"
 
 namespace spineless::routing {
-namespace {
-
 constexpr int kInf = VrfTable::kInfCost;
-
-// Forward virtual edges out of VRF level j over one physical link, per the
-// gadget in vrf.h. Calls fn(next_vrf, cost).
-template <typename Fn>
-void for_each_virtual_edge(int j, int k, Fn&& fn) {
-  if (j == k) {
-    for (int i = 1; i <= k; ++i) fn(i, i);  // rule (1)
-  }
-  if (j < k) fn(j + 1, 1);       // rule (2), ascending
-  if (j == 1 && k > 1) fn(1, 1);  // rule (3); for k == 1 rule (1) covers it
-}
-
-}  // namespace
 
 void VrfTable::compute_destination(const Graph& g, const LinkSet* dead,
                                    NodeId dst) {

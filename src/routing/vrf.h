@@ -32,6 +32,17 @@ class Runner;
 
 namespace spineless::routing {
 
+// Forward virtual edges out of VRF level j over one physical link, in the
+// order next-hop sets list them. Calls fn(next_vrf, cost).
+template <typename Fn>
+void for_each_virtual_edge(int j, int k, Fn&& fn) {
+  if (j == k) {
+    for (int i = 1; i <= k; ++i) fn(i, i);  // rule (1)
+  }
+  if (j < k) fn(j + 1, 1);       // rule (2), ascending
+  if (j == 1 && k > 1) fn(1, 1);  // rule (3); for k == 1 rule (1) covers it
+}
+
 // One forwarding choice in the VRF scheme: which physical port to take and
 // which VRF the packet belongs to at the next router.
 struct VrfHop {

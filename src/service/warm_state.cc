@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/throughput_experiment.h"
 #include "fault/degradation.h"
 #include "fault/fault_plan.h"
 #include "flowsim/flow_level_sim.h"
+#include "routing/bfs_sampler.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/snapshot.h"
@@ -192,7 +192,7 @@ void WarmState::build_fresh() {
   baseline_packet_.goodput_bps =
       exp.mon.mean_goodput_bps(cfg_.warm_time, cfg_.horizon);
 
-  const WhatIfResult f = run_fluid(baseline_flows_, ecmp_, workload_seed(0));
+  const WhatIfResult f = run_fluid(baseline_flows_, {}, workload_seed(0));
   baseline_fluid_.p50_ms = f.p50_ms;
   baseline_fluid_.p99_ms = f.p99_ms;
   baseline_fluid_.flows = f.flows;
@@ -314,29 +314,28 @@ WhatIfResult WarmState::whatif_fault_fluid(const std::string& spec,
     if (a.kind == fault::FaultAction::Kind::kLinkUp) is_down[a.link] = 0;
   }
 
-  routing::EcmpTable table = ecmp_;
-  routing::LinkSet dead;
-  for (topo::LinkId l = 0; l < graph_.num_links(); ++l)
-    if (is_down[l]) table.splice_link_change(graph_, dead, l, /*now_dead=*/true);
-
   WhatIfResult r =
-      run_fluid(baseline_flows_, table, workload_seed(seed_salt));
+      run_fluid(baseline_flows_, is_down, workload_seed(seed_salt));
   r.delta_p50_ms = r.p50_ms - baseline_fluid_.p50_ms;
   r.delta_p99_ms = r.p99_ms - baseline_fluid_.p99_ms;
   return r;
 }
 
 WhatIfResult WarmState::run_fluid(const std::vector<workload::FlowSpec>& flows,
-                                  const routing::EcmpTable& table,
+                                  std::span<const char> is_down,
                                   std::uint64_t seed) const {
   WhatIfResult r;
   r.fidelity = Fidelity::kFluid;
   flowsim::FlowLevelSimulator fluid(
       graph_, static_cast<double>(cfg_.net.link_rate_bps));
+  // Built per call: the warm state is shared read-only across workers.
+  routing::BfsSampler sampler(graph_);
+  for (std::size_t l = 0; l < is_down.size(); ++l)
+    if (is_down[l]) sampler.set_link_dead(static_cast<topo::LinkId>(l), true);
   Rng rng(splitmix64(seed ^ 0xf1d0f1d0f1d0f1d0ULL));
   for (const auto& f : flows) {
-    const routing::Path path = routing::sample_ecmp_path(
-        table, graph_.tor_of_host(f.src), graph_.tor_of_host(f.dst), rng);
+    const routing::Path path = sampler.sample(
+        graph_.tor_of_host(f.src), graph_.tor_of_host(f.dst), rng);
     if (path.empty()) {
       ++r.stalled;  // no surviving path: the flow never completes
       continue;
@@ -358,7 +357,7 @@ WhatIfResult WarmState::whatif_tm(const std::string& tm, double load_scale,
   const auto flows = make_flows(make_tm(tm, seed), seed, load_scale);
 
   if (fidelity == Fidelity::kFluid) {
-    WhatIfResult r = run_fluid(flows, ecmp_, seed);
+    WhatIfResult r = run_fluid(flows, {}, seed);
     r.delta_p50_ms = r.p50_ms - baseline_fluid_.p50_ms;
     r.delta_p99_ms = r.p99_ms - baseline_fluid_.p99_ms;
     return r;

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -106,8 +107,6 @@ class WarmState {
 
   const ServiceConfig& config() const noexcept { return cfg_; }
   const topo::Graph& graph() const noexcept { return graph_; }
-  const routing::EcmpTable& ecmp() const noexcept { return ecmp_; }
-  const routing::VrfTable& vrf() const noexcept { return *vrf_; }
   std::uint64_t warm_hash() const noexcept { return warm_hash_; }
   const BaselineResult& baseline_packet() const noexcept {
     return baseline_packet_;
@@ -147,11 +146,11 @@ class WarmState {
   std::vector<workload::FlowSpec> make_flows(const workload::RackTm& tm,
                                              std::uint64_t seed,
                                              double load_scale) const;
-  // Shared fluid-model cell: per-flow paths sampled by walking `table`'s
-  // next hops with a request-seeded RNG; flows with no surviving path are
-  // reported as stalled.
+  // Shared fluid-model cell: per-flow ECMP paths around the links marked
+  // in `is_down` (by link id; empty = none), sampled with a request-seeded
+  // RNG; flows with no surviving path are reported as stalled.
   WhatIfResult run_fluid(const std::vector<workload::FlowSpec>& flows,
-                         const routing::EcmpTable& table,
+                         std::span<const char> is_down,
                          std::uint64_t seed) const;
 
   ServiceConfig cfg_;

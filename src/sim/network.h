@@ -44,6 +44,11 @@ enum class RoutingMode {
   kSourceRouted,
 };
 
+// The K of the Shortest-Union(K) paths a mode's flows use: ECMP is SU(1).
+inline int shortest_union_k(RoutingMode mode, int su_k) {
+  return mode == RoutingMode::kEcmp ? 1 : su_k;
+}
+
 struct NetworkConfig {
   std::int64_t link_rate_bps = units::gbps(10);
   // Host NIC rate; 0 means same as link_rate_bps. Lets experiments model

@@ -114,6 +114,7 @@ void SweepJournal::load() {
     // trusted for this run.
     records_.clear();
     header_written_ = false;
+    discarded_ = true;
     remove_file(path_);
     return;
   }

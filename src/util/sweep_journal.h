@@ -33,6 +33,9 @@ class SweepJournal {
   bool has(const std::string& key) const;
   const Fields* get(const std::string& key) const;
   std::size_t loaded() const noexcept { return loaded_; }
+  // True when --resume found a journal of another bench or configuration
+  // and deleted it; whatever else that run left behind is stale too.
+  bool discarded() const noexcept { return discarded_; }
 
   // Durably appends one record (thread-safe; cells complete concurrently).
   void record(const std::string& key, const Fields& fields);
@@ -55,6 +58,7 @@ class SweepJournal {
   std::string config_sig_;
   bool header_written_ = false;
   std::size_t loaded_ = 0;
+  bool discarded_ = false;
   std::map<std::string, Fields> records_;
   std::mutex mu_;
 };

@@ -10,6 +10,7 @@
 #include "topo/analysis.h"
 #include "core/scenario.h"
 #include "core/throughput_experiment.h"
+#include "routing/bfs_sampler.h"
 #include "workload/flows.h"
 
 namespace spineless::core {
@@ -178,7 +179,7 @@ TEST(CsThroughput, DRingBeatsLeafSpineOnSkewedCells) {
 
 TEST(PathSampler, EcmpPathsAreShortest) {
   const auto g = topo::make_dring(6, 2, 1).graph;
-  PathSampler sampler(g, sim::RoutingMode::kEcmp, 2);
+  routing::BfsSampler sampler(g, 1);
   Rng rng(3);
   const auto dist = topo::all_pairs_distances(g);
   for (int trial = 0; trial < 200; ++trial) {
@@ -196,7 +197,7 @@ TEST(PathSampler, EcmpPathsAreShortest) {
 
 TEST(PathSampler, ShortestUnionPathsWithinSuSet) {
   const auto g = topo::make_dring(5, 2, 1).graph;
-  PathSampler sampler(g, sim::RoutingMode::kShortestUnion, 2);
+  routing::BfsSampler sampler(g, 2);
   Rng rng(5);
   for (int trial = 0; trial < 100; ++trial) {
     const auto src = static_cast<topo::NodeId>(rng.uniform(
@@ -273,7 +274,7 @@ TEST(CsThroughputPacket, TracksFluidRatio) {
 
 TEST(PathSampler, SameTorReturnsTrivialPath) {
   const auto g = topo::make_dring(5, 2, 2).graph;
-  PathSampler sampler(g, sim::RoutingMode::kEcmp, 2);
+  routing::BfsSampler sampler(g, 1);
   Rng rng(1);
   EXPECT_EQ(sampler.sample(3, 3, rng), routing::Path{3});
 }

@@ -4,7 +4,7 @@
 
 #include <algorithm>
 
-#include "core/throughput_experiment.h"
+#include "routing/bfs_sampler.h"
 #include "sim/tcp.h"
 #include "topo/builders.h"
 #include "util/error.h"
@@ -121,7 +121,7 @@ TEST(FlowLevelSim, GoldenFinishTimesOnRrg) {
   // any change to the stepper or its max-min solver that moves a single
   // finish time by one picosecond fails here.
   const topo::Graph g = topo::make_rrg(32, 6, 4, 17);
-  const core::PathSampler paths(g, sim::RoutingMode::kEcmp, 2);
+  routing::BfsSampler paths(g, 1);
   Rng rng(0xf10f);
   FlowLevelSimulator fluid(g, 10e9);
   const auto hosts = static_cast<std::uint64_t>(g.total_servers());

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "routing/ecmp.h"
+#include "routing/paths.h"
+#include "routing/vrf.h"
 #include "topo/analysis.h"
 #include "topo/builders.h"
 #include "util/rng.h"
@@ -44,6 +47,46 @@ TEST(BfsSampler, GoldenPathsOnLargeDring) {
   EXPECT_EQ(sample_hash(g), 11472566618063115198ull);
 }
 
+// 200 paths under SU(k) (k = 1 is ECMP) between uniformly drawn switch
+// pairs — equal, adjacent and distant endpoints alike — hashed hop by hop.
+std::uint64_t su_sample_hash(const Graph& g, int k) {
+  BfsSampler sampler(g, k);
+  Rng rng(0x90d1 + static_cast<std::uint64_t>(k));
+  std::uint64_t h = 0;
+  for (int i = 0; i < 200; ++i) {
+    const auto src = static_cast<NodeId>(rng.uniform(g.num_switches()));
+    const auto dst = static_cast<NodeId>(rng.uniform(g.num_switches()));
+    const Path p = sampler.sample(src, dst, rng);
+    h = splitmix64(h ^ p.size());
+    for (NodeId n : p) h = splitmix64(h ^ static_cast<std::uint64_t>(n));
+  }
+  return h;
+}
+
+// Golden values from the all-pairs table walks (the ECMP table for k = 1,
+// the VRF table otherwise) that drew every fluid path up to 4096 switches:
+// the table-free walk must make the same draws.
+TEST(BfsSampler, GoldenTableWalkPathsOnSmallDring) {
+  const Graph g = topo::make_dring(6, 2, 1).graph;
+  EXPECT_EQ(su_sample_hash(g, 1), 6776021563141773943ull);
+  EXPECT_EQ(su_sample_hash(g, 2), 9738505064612658742ull);
+  EXPECT_EQ(su_sample_hash(g, 3), 10856751090657544476ull);
+}
+
+TEST(BfsSampler, GoldenTableWalkPathsOnRrg) {
+  const Graph g = topo::make_rrg(64, 6, 1, 3);
+  EXPECT_EQ(su_sample_hash(g, 1), 13876611835804020055ull);
+  EXPECT_EQ(su_sample_hash(g, 2), 16017812301776826339ull);
+  EXPECT_EQ(su_sample_hash(g, 3), 1830546993147375856ull);
+}
+
+TEST(BfsSampler, GoldenTableWalkPathsOnLeafSpine) {
+  const Graph g = topo::make_leaf_spine(6, 3);
+  EXPECT_EQ(su_sample_hash(g, 1), 4365914080355712389ull);
+  EXPECT_EQ(su_sample_hash(g, 2), 18400780376011974474ull);
+  EXPECT_EQ(su_sample_hash(g, 3), 15745552675281299108ull);
+}
+
 void expect_shortest_walk(const Graph& g, const Path& p, NodeId src,
                           NodeId dst) {
   ASSERT_FALSE(p.empty());
@@ -73,7 +116,7 @@ TEST(BfsSampler, MaskedEndpointsAreReachableButNeverTransited) {
   Graph g(6);
   for (NodeId n = 0; n < 6; ++n) g.add_link(n, (n + 1) % 6);
   const std::vector<char> mask{0, 1, 0, 0, 0, 0};
-  BfsSampler sampler(g, mask);
+  BfsSampler sampler(g, 1, mask);
   Rng rng(1);
   EXPECT_EQ(sampler.sample(0, 2, rng), (Path{0, 5, 4, 3, 2}));
   EXPECT_EQ(sampler.sample(3, 1, rng), (Path{3, 2, 1}));
@@ -102,24 +145,148 @@ TEST(BfsSampler, UnreachableThroughMaskIsEmpty) {
   g.add_link(0, 1);
   g.add_link(1, 2);
   const std::vector<char> mask{0, 1, 0};
-  BfsSampler sampler(g, mask);
+  BfsSampler sampler(g, 1, mask);
   Rng rng(1);
   EXPECT_TRUE(sampler.sample(0, 2, rng).empty());
   EXPECT_EQ(sampler.sample(0, 1, rng), (Path{0, 1}));
 }
 
-TEST(SampleEcmpPath, MatchesTableAndReportsUnreachable) {
+TEST(BfsSampler, EcmpWalkOnALineAndUnreachableAfterACut) {
   Graph g(4);
   g.add_link(0, 1);
   g.add_link(1, 2);
   g.add_link(2, 3);
-  const auto t = EcmpTable::compute(g);
+  BfsSampler sampler(g);
   Rng rng(1);
-  EXPECT_EQ(sample_ecmp_path(t, 0, 3, rng), (Path{0, 1, 2, 3}));
-  EXPECT_EQ(sample_ecmp_path(t, 2, 2, rng), (Path{2}));
-  const LinkSet dead{1};
-  const auto cut = EcmpTable::compute(g, &dead);
-  EXPECT_TRUE(sample_ecmp_path(cut, 0, 3, rng).empty());
+  EXPECT_EQ(sampler.sample(0, 3, rng), (Path{0, 1, 2, 3}));
+  EXPECT_EQ(sampler.sample(2, 2, rng), (Path{2}));
+  sampler.set_link_dead(1, true);
+  EXPECT_TRUE(sampler.sample(0, 3, rng).empty());
+}
+
+// The reference the sampler replaces: walk the all-pairs VRF table from
+// (VRF K, src), one rng.uniform over each state's next-hop set per hop,
+// ending at the first visit to dst.
+Path table_walk(const VrfTable& t, NodeId src, NodeId dst, Rng& rng) {
+  if (t.source_distance(src, dst) >= VrfTable::kInfCost) return {};
+  Path path{src};
+  int vrf = t.k();
+  for (NodeId node = src; node != dst;) {
+    const auto& hops = t.next_hops(node, vrf, dst);
+    const VrfHop& h = hops[rng.uniform(hops.size())];
+    node = h.port.neighbor;
+    vrf = h.next_vrf;
+    path.push_back(node);
+  }
+  return path;
+}
+
+// The ECMP table walk, for K = 1.
+Path ecmp_walk(const EcmpTable& t, NodeId src, NodeId dst, Rng& rng) {
+  if (t.distance(src, dst) < 0) return {};
+  Path path{src};
+  for (NodeId node = src; node != dst;) {
+    const auto hops = t.next_hops(node, dst);
+    node = hops[rng.uniform(hops.size())].neighbor;
+    path.push_back(node);
+  }
+  return path;
+}
+
+Graph ring(NodeId n) {
+  Graph g(n);
+  for (NodeId i = 0; i < n; ++i) g.add_link(i, (i + 1) % n);
+  return g;
+}
+
+// Small graphs for the exhaustive properties: a DRing (odd cycles), an RRG,
+// a leaf-spine (bipartite, so walk parity matters near dst) and an odd
+// ring (distances up to 10, far past 2K).
+std::vector<Graph> property_graphs() {
+  return {topo::make_dring(5, 2, 1).graph, topo::make_rrg(16, 4, 1, 5),
+          topo::make_leaf_spine(3, 2), ring(21)};
+}
+
+void expect_distances_match(const Graph& g, int k, const LinkSet* dead) {
+  const VrfTable t = VrfTable::compute(g, k, dead);
+  BfsSampler sampler(g, k);
+  for (LinkId l = 0; dead != nullptr && l < g.num_links(); ++l)
+    if (dead->contains(l)) sampler.set_link_dead(l, true);
+  for (NodeId dst = 0; dst < g.num_switches(); ++dst)
+    for (NodeId n = 0; n < g.num_switches(); ++n)
+      for (int j = 1; j <= k; ++j)
+        ASSERT_EQ(sampler.distance(n, j, dst), t.distance(n, j, dst))
+            << "k=" << k << " dst=" << dst << " node=" << n << " vrf=" << j;
+}
+
+TEST(BfsSampler, VrfDistancesEqualTheTable) {
+  for (const Graph& g : property_graphs()) {
+    for (int k = 1; k <= 4; ++k) {
+      expect_distances_match(g, k, nullptr);
+      // Two dead links around switch 0, which can strand it.
+      const LinkSet dead{g.neighbors(0)[0].link, g.neighbors(0)[1].link};
+      expect_distances_match(g, k, &dead);
+    }
+  }
+}
+
+TEST(BfsSampler, DrawsEqualTheTableWalk) {
+  std::vector<Graph> graphs = property_graphs();
+  graphs.push_back(topo::make_rrg(200, 3, 1, 9));  // many hops at d >= 2K
+  for (const Graph& g : graphs) {
+    for (int k = 1; k <= 4; ++k) {
+      const VrfTable t = VrfTable::compute(g, k);
+      const EcmpTable ecmp = EcmpTable::compute(g);
+      BfsSampler sampler(g, k);
+      Rng a(k), b(k), c(k);
+      for (int i = 0; i < 400; ++i) {
+        const auto src = static_cast<NodeId>(a.uniform(g.num_switches()));
+        const auto dst = static_cast<NodeId>(a.uniform(g.num_switches()));
+        b.uniform(g.num_switches());
+        b.uniform(g.num_switches());
+        c.uniform(g.num_switches());
+        c.uniform(g.num_switches());
+        const Path p = sampler.sample(src, dst, a);
+        ASSERT_EQ(p, table_walk(t, src, dst, b)) << "k=" << k << " i=" << i;
+        if (k == 1) {
+          ASSERT_EQ(p, ecmp_walk(ecmp, src, dst, c));
+        }
+      }
+      EXPECT_EQ(a.next(), b.next());
+    }
+  }
+}
+
+// Every simple path of SU(K) is drawn and nothing else simple is. Like the
+// table walk (and the packet engine's VRF forwarding), K >= 3 can also draw
+// a walk that revisits a switch, e.g. src, x, src, dst for adjacent src
+// and dst; it is never longer than max(L, K).
+TEST(BfsSampler, SampledPathSetIsShortestUnion) {
+  for (const Graph& g : property_graphs()) {
+    for (int k = 1; k <= 4; ++k) {
+      BfsSampler sampler(g, k);
+      Rng rng(99);
+      const NodeId src = 1;
+      const auto dist = topo::bfs_distances(g, src);
+      for (NodeId dst = 0; dst < g.num_switches(); ++dst) {
+        if (dst == src) continue;
+        const int bound = std::max(dist[static_cast<std::size_t>(dst)], k);
+        const PathSet su = shortest_union_paths(g, src, dst, k, 8192);
+        std::set<Path> simple;
+        for (std::size_t i = 0; i < 40 * su.size(); ++i) {
+          const Path p = sampler.sample(src, dst, rng);
+          ASSERT_LE(path_length(p), bound);
+          ASSERT_EQ(p.back(), dst);
+          for (std::size_t h = 0; h + 1 < p.size(); ++h)
+            ASSERT_TRUE(g.adjacent(p[h], p[h + 1]));
+          if (std::set<NodeId>(p.begin(), p.end()).size() == p.size())
+            simple.insert(p);
+        }
+        EXPECT_EQ(simple, std::set<Path>(su.begin(), su.end()))
+            << "k=" << k << " dst=" << dst;
+      }
+    }
+  }
 }
 
 }  // namespace
