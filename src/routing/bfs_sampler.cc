@@ -9,15 +9,23 @@
 namespace spineless::routing {
 
 Path BfsSampler::sample(NodeId src, NodeId dst, Rng& rng) {
-  if (dead_.empty() && excluded_.empty())
-    return walk<false>(src, dst, dist_to<false>(dst), rng);
-  return walk<true>(src, dst, dist_to<true>(dst), rng);
+  // The walk draws nothing, so the row need not exist.
+  if (src == dst) return {src};
+  Row& row = row_for(dst);
+  if (dead_.empty() && excluded_.empty()) {
+    grow<false>(row, src);
+    return walk<false>(src, dst, row.dist, rng);
+  }
+  grow<true>(row, src);
+  return walk<true>(src, dst, row.dist, rng);
 }
 
 int BfsSampler::distance(NodeId node, int vrf, NodeId dst) {
   SPINELESS_CHECK(vrf >= 1 && vrf <= k_);
   // The filtered BFS row equals the unfiltered one when nothing is dead.
-  return vrf_distance(dist_to<true>(dst), dst, node, vrf);
+  Row& row = row_for(dst);
+  grow<true>(row, kWholeRow);
+  return vrf_distance(row.dist, dst, node, vrf);
 }
 
 void BfsSampler::set_link_dead(LinkId link, bool dead) {
@@ -26,41 +34,86 @@ void BfsSampler::set_link_dead(LinkId link, bool dead) {
   } else {
     dead_.erase(link);
   }
-  cache_.clear();
+  rows_.clear();
+  oldest_ = 0;
 }
 
-// Excluded switches get a distance when first reached but are never
-// expanded, so a distance through them is never propagated while an
-// excluded source still learns its own distance.
-template <bool kFiltered>
-const std::vector<std::int32_t>& BfsSampler::dist_to(NodeId dst) {
-  for (const auto& e : cache_) {
-    if (e.first == dst) return e.second;
+// A miss takes a fresh row while the cache has room, then the oldest
+// row's buffer, so a miss allocates nothing once the cache is full.
+BfsSampler::Row& BfsSampler::row_for(NodeId dst) {
+  for (Row& row : rows_) {
+    if (row.dst == dst) return row;
   }
-  std::vector<std::int32_t> dist(static_cast<std::size_t>(g_.num_switches()),
-                                 -1);
-  std::vector<NodeId> frontier{dst};
-  dist[static_cast<std::size_t>(dst)] = 0;
-  std::vector<NodeId> next;
-  while (!frontier.empty()) {
-    next.clear();
-    for (NodeId n : frontier) {
-      const std::int32_t d = dist[static_cast<std::size_t>(n)];
-      for (const Port& p : g_.neighbors(n)) {
+  ++counters_.rows_built;
+  Row* row = nullptr;
+  if (rows_.size() < kMaxCached) {
+    row = &rows_.emplace_back();
+    row->dist.assign(static_cast<std::size_t>(g_.num_switches()), -1);
+  } else {
+    row = &rows_[oldest_];
+    oldest_ = (oldest_ + 1) % kMaxCached;
+    std::fill(row->dist.begin(), row->dist.end(), -1);
+  }
+  row->dst = dst;
+  row->depth = 0;
+  row->complete = false;
+  row->dist[static_cast<std::size_t>(dst)] = 0;
+  return *row;
+}
+
+// True when the walk from src reads `row` exactly as it would read the
+// complete row: src is labelled (so depth >= d(src)) and depth >= K - 1.
+// The walk's states all have h <= h(K, src) <= depth + 1 and an
+// unlabelled neighbour's edge costs at least depth + 2, so it is never
+// tight; the nested walk_exists reads need len <= K - 1 <= depth
+// (doc/architecture.md, "Path sampling").
+bool BfsSampler::covers(const Row& row, NodeId src) const {
+  if (row.complete) return true;
+  return src != kWholeRow && row.dist[static_cast<std::size_t>(src)] >= 0 &&
+         row.depth >= k_ - 1;
+}
+
+// Labels one level per round until the row covers src. Excluded switches
+// get a distance when first reached but are never expanded, so a
+// distance through them is never propagated while an excluded source
+// still learns its own distance. A resumed row rebuilds its frontier by
+// scanning for the unexcluded nodes at `depth`: one O(V) pass, where the
+// BFS is O(E), and no frontier array kept per cached row. The scan never
+// meets dst, which is exempt from the mask, because a row only stops
+// short of completion at depth >= d(src) >= 1.
+template <bool kFiltered>
+void BfsSampler::grow(Row& row, NodeId src) {
+  if (covers(row, src)) return;
+  frontier_.clear();
+  if (row.depth == 0) {
+    frontier_.push_back(row.dst);
+  } else {
+    ++counters_.rows_resumed;
+    for (NodeId n = 0; n < g_.num_switches(); ++n) {
+      if (row.dist[static_cast<std::size_t>(n)] == row.depth &&
+          !(kFiltered && !excluded_.empty() && masked(n)))
+        frontier_.push_back(n);
+    }
+  }
+  do {
+    next_.clear();
+    for (NodeId n : frontier_) {
+      const auto& ports = g_.neighbors(n);
+      counters_.edge_visits += ports.size();
+      for (const Port& p : ports) {
         if (kFiltered && dead_.contains(p.link)) continue;
-        auto& dn = dist[static_cast<std::size_t>(p.neighbor)];
+        auto& dn = row.dist[static_cast<std::size_t>(p.neighbor)];
         if (dn < 0) {
-          dn = d + 1;
+          dn = row.depth + 1;
           if (kFiltered && !excluded_.empty() && masked(p.neighbor)) continue;
-          next.push_back(p.neighbor);
+          next_.push_back(p.neighbor);
         }
       }
     }
-    frontier.swap(next);
-  }
-  if (cache_.size() >= kMaxCached) cache_.erase(cache_.begin());
-  cache_.emplace_back(dst, std::move(dist));
-  return cache_.back().second;
+    ++row.depth;
+    row.complete = next_.empty();
+    frontier_.swap(next_);
+  } while (!covers(row, src));
 }
 
 // h(j, n) from d = d(n), with the closed forms of doc/architecture.md

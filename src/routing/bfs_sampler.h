@@ -3,7 +3,8 @@
 // rng.uniform per hop among the tight virtual edges, in VrfTable's next-hop
 // order, so its draws equal the all-pairs table walk's without the O(V^2)
 // tables. ECMP is SU(1). Every VRF distance follows from one cached BFS
-// row per destination (doc/architecture.md, "Path sampling").
+// row per destination, grown only as deep as the walk reads it
+// (doc/architecture.md, "Path sampling").
 #pragma once
 
 #include <cstdint>
@@ -43,6 +44,16 @@ class BfsSampler {
   // the distance cache.
   void set_link_dead(LinkId link, bool dead);
 
+  // BFS work since construction: rows started on a cache miss, cached
+  // rows grown further for a farther source or a distance() call, and
+  // ports scanned while growing.
+  struct Counters {
+    std::uint64_t rows_built = 0;
+    std::uint64_t rows_resumed = 0;
+    std::uint64_t edge_visits = 0;
+  };
+  const Counters& counters() const { return counters_; }
+
  private:
   // FIFO-bounded distance cache: skewed TMs concentrate destinations on few
   // racks, so a handful of arrays covers most flows; the bound keeps
@@ -50,10 +61,24 @@ class BfsSampler {
   // cache — eviction can never change a sampled path.
   static constexpr std::size_t kMaxCached = 64;
 
+  // One destination's BFS distance row, grown a level at a time: every
+  // node within `depth` hops of dst holds its distance and every other
+  // node holds -1, which means unreachable once `complete` is set.
+  struct Row {
+    NodeId dst = 0;
+    std::int32_t depth = 0;
+    bool complete = false;
+    std::vector<std::int32_t> dist;
+  };
+  // grow()'s src for a row that must run to completion.
+  static constexpr NodeId kWholeRow = -1;
+
+  Row& row_for(NodeId dst);
+  bool covers(const Row& row, NodeId src) const;
   // The filtered/unfiltered split is made once per call, so the common
   // case (no dead links, no mask) runs without a per-edge test.
   template <bool kFiltered>
-  const std::vector<std::int32_t>& dist_to(NodeId dst);
+  void grow(Row& row, NodeId src);
   template <bool kFiltered>
   Path walk(NodeId src, NodeId dst, const std::vector<std::int32_t>& dist,
             Rng& rng);
@@ -69,8 +94,11 @@ class BfsSampler {
   int k_;
   std::span<const char> excluded_;
   LinkSet dead_;
-  std::vector<std::pair<NodeId, std::vector<std::int32_t>>> cache_;
+  std::vector<Row> rows_;
+  std::size_t oldest_ = 0;  // the next row evicted once rows_ is full
+  std::vector<NodeId> frontier_, next_;          // BFS levels being grown
   std::vector<std::pair<NodeId, int>> scratch_;  // (neighbor, next VRF)
+  Counters counters_;
 };
 
 }  // namespace spineless::routing

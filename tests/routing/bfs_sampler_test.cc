@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 #include <vector>
 
@@ -18,8 +20,7 @@ namespace {
 // 500 paths to 96 skewed destinations — more than the 64-entry distance
 // cache, so the draws exercise hits, misses and eviction — hashed hop by
 // hop.
-std::uint64_t sample_hash(const Graph& g) {
-  BfsSampler sampler(g);
+std::uint64_t sample_hash(const Graph& g, BfsSampler& sampler) {
   Rng rng(0x5a3d1e);
   std::uint64_t h = 0;
   for (int i = 0; i < 500; ++i) {
@@ -39,12 +40,29 @@ std::uint64_t sample_hash(const Graph& g) {
 // here.
 TEST(BfsSampler, GoldenPathsOnLargeRrg) {
   const Graph g = topo::make_rrg(4500, 16, 2, 11);
-  EXPECT_EQ(sample_hash(g), 9728632969606215484ull);
+  BfsSampler sampler(g);
+  EXPECT_EQ(sample_hash(g, sampler), 9728632969606215484ull);
 }
 
 TEST(BfsSampler, GoldenPathsOnLargeDring) {
   const Graph g = topo::make_dring(1200, 4, 2).graph;
-  EXPECT_EQ(sample_hash(g), 11472566618063115198ull);
+  BfsSampler sampler(g);
+  EXPECT_EQ(sample_hash(g, sampler), 11472566618063115198ull);
+}
+
+// A timing-free guard on the BFS work of the large-RRG draws: any change
+// to how far rows grow, when they resume or how the cache evicts moves
+// these counts. Full rows would scan every port once per row built.
+TEST(BfsSampler, WorkOnLargeRrgIsPinned) {
+  const Graph g = topo::make_rrg(4500, 16, 2, 11);
+  BfsSampler sampler(g);
+  sample_hash(g, sampler);
+  const BfsSampler::Counters& work = sampler.counters();
+  EXPECT_EQ(work.rows_built, 187u);
+  EXPECT_EQ(work.rows_resumed, 64u);
+  EXPECT_EQ(work.edge_visits, 5794160u);
+  EXPECT_LT(work.edge_visits,
+            work.rows_built * 2 * static_cast<std::uint64_t>(g.num_links()));
 }
 
 // 200 paths under SU(k) (k = 1 is ECMP) between uniformly drawn switch
@@ -207,11 +225,20 @@ std::vector<Graph> property_graphs() {
           topo::make_leaf_spine(3, 2), ring(21)};
 }
 
+void set_dead(const Graph& g, const LinkSet* dead, BfsSampler& sampler) {
+  for (LinkId l = 0; dead != nullptr && l < g.num_links(); ++l)
+    if (dead->contains(l)) sampler.set_link_dead(l, true);
+}
+
+// Two dead links around switch 0, which can strand it.
+LinkSet dead_around_switch0(const Graph& g) {
+  return {g.neighbors(0)[0].link, g.neighbors(0)[1].link};
+}
+
 void expect_distances_match(const Graph& g, int k, const LinkSet* dead) {
   const VrfTable t = VrfTable::compute(g, k, dead);
   BfsSampler sampler(g, k);
-  for (LinkId l = 0; dead != nullptr && l < g.num_links(); ++l)
-    if (dead->contains(l)) sampler.set_link_dead(l, true);
+  set_dead(g, dead, sampler);
   for (NodeId dst = 0; dst < g.num_switches(); ++dst)
     for (NodeId n = 0; n < g.num_switches(); ++n)
       for (int j = 1; j <= k; ++j)
@@ -223,11 +250,32 @@ TEST(BfsSampler, VrfDistancesEqualTheTable) {
   for (const Graph& g : property_graphs()) {
     for (int k = 1; k <= 4; ++k) {
       expect_distances_match(g, k, nullptr);
-      // Two dead links around switch 0, which can strand it.
-      const LinkSet dead{g.neighbors(0)[0].link, g.neighbors(0)[1].link};
+      const LinkSet dead = dead_around_switch0(g);
       expect_distances_match(g, k, &dead);
     }
   }
+}
+
+void expect_draws_match(const Graph& g, int k, const LinkSet* dead) {
+  const VrfTable t = VrfTable::compute(g, k, dead);
+  const EcmpTable ecmp = EcmpTable::compute(g, dead);
+  BfsSampler sampler(g, k);
+  set_dead(g, dead, sampler);
+  Rng a(k), b(k), c(k);
+  for (int i = 0; i < 400; ++i) {
+    const auto src = static_cast<NodeId>(a.uniform(g.num_switches()));
+    const auto dst = static_cast<NodeId>(a.uniform(g.num_switches()));
+    b.uniform(g.num_switches());
+    b.uniform(g.num_switches());
+    c.uniform(g.num_switches());
+    c.uniform(g.num_switches());
+    const Path p = sampler.sample(src, dst, a);
+    ASSERT_EQ(p, table_walk(t, src, dst, b)) << "k=" << k << " i=" << i;
+    if (k == 1) {
+      ASSERT_EQ(p, ecmp_walk(ecmp, src, dst, c));
+    }
+  }
+  EXPECT_EQ(a.next(), b.next());
 }
 
 TEST(BfsSampler, DrawsEqualTheTableWalk) {
@@ -235,26 +283,79 @@ TEST(BfsSampler, DrawsEqualTheTableWalk) {
   graphs.push_back(topo::make_rrg(200, 3, 1, 9));  // many hops at d >= 2K
   for (const Graph& g : graphs) {
     for (int k = 1; k <= 4; ++k) {
-      const VrfTable t = VrfTable::compute(g, k);
-      const EcmpTable ecmp = EcmpTable::compute(g);
-      BfsSampler sampler(g, k);
-      Rng a(k), b(k), c(k);
-      for (int i = 0; i < 400; ++i) {
-        const auto src = static_cast<NodeId>(a.uniform(g.num_switches()));
-        const auto dst = static_cast<NodeId>(a.uniform(g.num_switches()));
-        b.uniform(g.num_switches());
-        b.uniform(g.num_switches());
-        c.uniform(g.num_switches());
-        c.uniform(g.num_switches());
-        const Path p = sampler.sample(src, dst, a);
-        ASSERT_EQ(p, table_walk(t, src, dst, b)) << "k=" << k << " i=" << i;
-        if (k == 1) {
-          ASSERT_EQ(p, ecmp_walk(ecmp, src, dst, c));
-        }
-      }
-      EXPECT_EQ(a.next(), b.next());
+      expect_draws_match(g, k, nullptr);
+      const LinkSet dead = dead_around_switch0(g);
+      expect_draws_match(g, k, &dead);
     }
   }
+}
+
+// Drives `lazy` through early exits, resumes and evictions: each
+// destination's sources come nearest first, 80 destinations (more than
+// the cache holds) come round twice, and distance() calls complete other
+// rows between draws. `full` completes each row with distance() before
+// drawing on it, so its draws are those of complete rows.
+void expect_lazy_rows_match(const Graph& g, int k, BfsSampler& lazy,
+                            BfsSampler& full) {
+  const NodeId n = g.num_switches();
+  Rng a(k), b(k);
+  int step = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (NodeId i = 0; i < 80; ++i) {
+      const NodeId dst = i * 37 % n;
+      const auto dist = topo::bfs_distances(g, dst);
+      std::vector<NodeId> srcs(static_cast<std::size_t>(n));
+      std::iota(srcs.begin(), srcs.end(), 0);
+      std::stable_sort(srcs.begin(), srcs.end(), [&](NodeId x, NodeId y) {
+        return dist[static_cast<std::size_t>(x)] <
+               dist[static_cast<std::size_t>(y)];
+      });
+      // Every near source, then ever sparser far ones.
+      for (std::size_t s = 1; s < srcs.size(); s += 1 + s / 4) {
+        const NodeId src = srcs[s];
+        full.distance(src, k, dst);
+        const Path p = lazy.sample(src, dst, a);
+        ASSERT_EQ(p, full.sample(src, dst, b))
+            << "k=" << k << " dst=" << dst << " src=" << src;
+        if (++step % 5 == 0) {
+          const NodeId other = (dst + step) % n;
+          ASSERT_EQ(lazy.distance(src, 1, other), full.distance(src, 1, other))
+              << "k=" << k << " dst=" << other << " node=" << src;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(a.next(), b.next());
+}
+
+TEST(BfsSampler, ResumedAndEvictedRowsDrawLikeCompleteRows) {
+  std::vector<Graph> graphs = property_graphs();
+  graphs.push_back(topo::make_rrg(200, 3, 1, 9));
+  std::uint64_t resumed = 0, most_built = 0;
+  auto run = [&](const Graph& g, int k, BfsSampler& lazy, BfsSampler& full) {
+    expect_lazy_rows_match(g, k, lazy, full);
+    resumed += lazy.counters().rows_resumed;
+    most_built = std::max(most_built, lazy.counters().rows_built);
+  };
+  for (const Graph& g : graphs) {
+    const LinkSet dead = dead_around_switch0(g);
+    for (int k = 1; k <= 4; ++k) {
+      for (const LinkSet* d : {static_cast<const LinkSet*>(nullptr), &dead}) {
+        BfsSampler lazy(g, k), full(g, k);
+        set_dead(g, d, lazy);
+        set_dead(g, d, full);
+        run(g, k, lazy, full);
+      }
+    }
+    // The fault re-path sampler's shape: K = 1 with every fifth switch
+    // excluded from transit.
+    std::vector<char> mask(static_cast<std::size_t>(g.num_switches()));
+    for (std::size_t i = 0; i < mask.size(); i += 5) mask[i] = 1;
+    BfsSampler lazy(g, 1, mask), full(g, 1, mask);
+    run(g, 1, lazy, full);
+  }
+  EXPECT_GT(resumed, 0u);
+  EXPECT_GT(most_built, 64u);  // the 64-row cache evicted
 }
 
 // Every simple path of SU(K) is drawn and nothing else simple is. Like the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "topo/builders.h"
 
@@ -13,7 +14,10 @@ TEST(DotExport, ContainsAllNodesAndEdges) {
   const Graph g = make_leaf_spine(3, 1);
   const auto dot = to_dot(g);
   for (NodeId n = 0; n < g.num_switches(); ++n) {
-    EXPECT_NE(dot.find("s" + std::to_string(n) + " ["), std::string::npos);
+    std::string node = "s";
+    node += std::to_string(n);
+    node += " [";
+    EXPECT_NE(dot.find(node), std::string::npos);
   }
   std::size_t edges = 0, pos = 0;
   while ((pos = dot.find(" -- ", pos)) != std::string::npos) {
