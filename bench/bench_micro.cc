@@ -22,7 +22,6 @@
 #include "ctrl/bgp.h"
 #include "event_throughput.h"
 #include "flowsim/maxmin.h"
-#include "routing/ecmp.h"
 #include "routing/paths.h"
 #include "routing/vrf.h"
 #include "topo/builders.h"
@@ -32,14 +31,15 @@
 namespace spineless {
 namespace {
 
-void BM_EcmpTableCompute(benchmark::State& state) {
+// The ECMP table: K = 1, by size.
+void BM_VrfTableK1Compute(benchmark::State& state) {
   const auto d = topo::make_dring(static_cast<int>(state.range(0)), 4, 8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(routing::EcmpTable::compute(d.graph));
+    benchmark::DoNotOptimize(routing::VrfTable::compute(d.graph, 1));
   }
   state.SetLabel(std::to_string(d.graph.num_switches()) + " switches");
 }
-BENCHMARK(BM_EcmpTableCompute)->Arg(5)->Arg(10)->Arg(20);
+BENCHMARK(BM_VrfTableK1Compute)->Arg(5)->Arg(10)->Arg(20);
 
 void BM_VrfTableCompute(benchmark::State& state) {
   const auto d = topo::make_dring(10, 4, 8);

@@ -13,7 +13,6 @@
 #include "bench_common.h"
 #include "ctrl/bgp.h"
 #include "routing/disjoint.h"
-#include "routing/ecmp.h"
 #include "routing/paths.h"
 #include "routing/vrf.h"
 #include "util/table.h"

@@ -25,7 +25,7 @@ for arg in "$@"; do
 done
 
 echo "== configure + build (SPINELESS_WERROR=$WERROR) =="
-cmake -B build -G Ninja -DSPINELESS_WERROR="$WERROR"
+cmake -B build -DSPINELESS_WERROR="$WERROR"
 cmake --build build
 
 echo "== static checks (spineless_lint) =="

@@ -92,7 +92,7 @@ if [[ "$ASAN" == 1 ]]; then
   exit 0
 fi
 
-cmake -B build -G Ninja
+cmake -B build
 cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt

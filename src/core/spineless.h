@@ -23,7 +23,6 @@
 #include "flowsim/fluid_network.h"
 #include "flowsim/maxmin.h"
 #include "routing/disjoint.h"
-#include "routing/ecmp.h"
 #include "routing/ksp.h"
 #include "routing/paths.h"
 #include "routing/vlb.h"

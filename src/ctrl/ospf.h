@@ -9,7 +9,7 @@
 // that are new to it to all neighbors each round). Once link-state
 // databases are complete, each router runs SPF over ITS OWN LSDB to get
 // per-destination ECMP next hops — verified in tests to equal the
-// analytically computed EcmpTable. Link failures re-originate the two
+// analytically computed K = 1 VrfTable. Link failures re-originate the two
 // endpoint LSAs and reflood.
 #pragma once
 

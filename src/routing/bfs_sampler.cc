@@ -25,7 +25,7 @@ int BfsSampler::distance(NodeId node, int vrf, NodeId dst) {
   // The filtered BFS row equals the unfiltered one when nothing is dead.
   Row& row = row_for(dst);
   grow<true>(row, kWholeRow);
-  return vrf_distance(row.dist, dst, node, vrf);
+  return vrf_distance(g_, dead_, row.dist, k_, dst, node, vrf);
 }
 
 void BfsSampler::set_link_dead(LinkId link, bool dead) {
@@ -65,7 +65,7 @@ BfsSampler::Row& BfsSampler::row_for(NodeId dst) {
 // complete row: src is labelled (so depth >= d(src)) and depth >= K - 1.
 // The walk's states all have h <= h(K, src) <= depth + 1 and an
 // unlabelled neighbour's edge costs at least depth + 2, so it is never
-// tight; the nested walk_exists reads need len <= K - 1 <= depth
+// tight; vrf_distance's nested walk reads need len <= K - 1 <= depth
 // (doc/architecture.md, "Path sampling").
 bool BfsSampler::covers(const Row& row, NodeId src) const {
   if (row.complete) return true;
@@ -116,45 +116,10 @@ void BfsSampler::grow(Row& row, NodeId src) {
   } while (!covers(row, src));
 }
 
-// h(j, n) from d = d(n), with the closed forms of doc/architecture.md
-// ("Path sampling"). A state nearer dst must climb K - j hops to VRF K: it
-// costs that many when a walk of that length reaches dst, else one hop
-// more for j = 1 (which may stay in VRF 1) or a VRF-K detour for j > 1.
-int BfsSampler::vrf_distance(const std::vector<std::int32_t>& dist,
-                             NodeId dst, NodeId n, int j) const {
-  const int d = dist[static_cast<std::size_t>(n)];
-  const int k = k_;
-  if (d < 0) return VrfTable::kInfCost;
-  if (j == k) return n == dst ? 0 : std::max(d, k);
-  const int climb = k - j;
-  if (j == 1 && d >= climb) return d;
-  if (j > 1 && d > climb) return std::max(d, k + climb);
-  if (walk_exists(dist, n, climb)) return climb;
-  // Only an isolated dst has no walk of climb + 1 hops either.
-  if (!walk_exists(dist, n, climb + 1)) return VrfTable::kInfCost;
-  return j == 1 ? climb + 1 : k + climb;
-}
-
-// True when a walk of exactly `len` live hops leads from n to dst. A
-// shortest path plus back-and-forth hops on its last link gives every
-// len >= d of d's parity; the other parity needs an odd cycle.
-bool BfsSampler::walk_exists(const std::vector<std::int32_t>& dist, NodeId n,
-                             int len) const {
-  const int d = dist[static_cast<std::size_t>(n)];
-  if (d < 0 || d > len) return false;
-  if (len == 0) return true;  // d == 0: n is dst
-  if (d > 0 && (len - d) % 2 == 0) return true;
-  for (const Port& p : g_.neighbors(n)) {
-    if (!dead_.contains(p.link) && walk_exists(dist, p.neighbor, len - 1))
-      return true;
-  }
-  return false;
-}
-
-// Candidates in VrfTable::compute_destination's next-hop order: live ports
-// in port order, then each port's virtual edges in for_each_virtual_edge
-// order, keeping every tight one (a port tight under two edges is listed
-// twice). Like the table walk, the path ends at the first visit to dst.
+// Candidates in VrfTable's next-hop order: live ports in port order, then
+// each port's virtual edges in for_each_virtual_edge order, keeping every
+// tight one (a port tight under two edges is listed twice). Like the table
+// walk, the path ends at the first visit to dst.
 template <bool kFiltered>
 Path BfsSampler::walk(NodeId src, NodeId dst,
                       const std::vector<std::int32_t>& dist, Rng& rng) {
@@ -170,7 +135,7 @@ Path BfsSampler::walk(NodeId src, NodeId dst,
     // i = 1), VRF j < K climbs to j + 1 (rule 2), and VRF 1 also stays
     // (rule 3), listed after the climb.
     const bool far = d >= 2 * k_;
-    const int h = far ? d : vrf_distance(dist, dst, cur, vrf);
+    const int h = far ? d : vrf_distance(g_, dead_, dist, k_, dst, cur, vrf);
     scratch_.clear();
     for (const Port& p : g_.neighbors(cur)) {
       if ((h == d && dist[static_cast<std::size_t>(p.neighbor)] != d - 1) ||
@@ -184,7 +149,8 @@ Path BfsSampler::walk(NodeId src, NodeId dst,
         continue;
       }
       for_each_virtual_edge(vrf, k_, [&](int next_vrf, int cost) {
-        if (cost + vrf_distance(dist, dst, p.neighbor, next_vrf) == h)
+        if (cost + vrf_distance(g_, dead_, dist, k_, dst, p.neighbor,
+                                next_vrf) == h)
           scratch_.emplace_back(p.neighbor, next_vrf);
       });
     }

@@ -82,10 +82,6 @@ class BfsSampler {
   template <bool kFiltered>
   Path walk(NodeId src, NodeId dst, const std::vector<std::int32_t>& dist,
             Rng& rng);
-  int vrf_distance(const std::vector<std::int32_t>& dist, NodeId dst,
-                   NodeId n, int j) const;
-  bool walk_exists(const std::vector<std::int32_t>& dist, NodeId n,
-                   int len) const;
   bool masked(NodeId n) const {
     return excluded_[static_cast<std::size_t>(n)] != 0;
   }

@@ -23,6 +23,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "routing/types.h"
 
@@ -47,36 +49,47 @@ void for_each_virtual_edge(int j, int k, Fn&& fn) {
 // which VRF the packet belongs to at the next router.
 struct VrfHop {
   Port port;
-  int next_vrf = 0;  // 1-based VRF index at the neighbor
-  int cost = 0;      // virtual-link cost (for diagnostics)
   // Number of minimum-cost VRF-graph continuations through this edge
-  // (saturating). Equal-cost ECMP ignores it; weighted (WCMP-style)
-  // forwarding splits traffic proportionally, so a direct link is not
-  // drowned out by its many single-use detours.
-  std::int64_t weight = 1;
+  // (saturating at a million). Equal-cost ECMP ignores it; weighted
+  // (WCMP-style) forwarding splits traffic proportionally, so a direct
+  // link is not drowned out by its many single-use detours.
+  std::int32_t weight = 1;
+  std::int16_t next_vrf = 0;  // 1-based VRF index at the neighbor
+  std::int16_t cost = 0;      // virtual-link cost (for diagnostics)
 };
 
-// Per-destination forwarding state over the VRF graph, computed by Dijkstra
-// on the reversed virtual edges. next_hops(node, vrf, dst) yields every
-// virtual edge on a minimum-cost path — the set BGP multipath would install.
+// The all-pairs forwarding table of Shortest-Union(K): for every
+// destination and every (vrf, node) state, the virtual edges on a
+// minimum-cost path to (VRF K, dst) — the set BGP multipath would install.
+// K = 1 is plain shortest-path ECMP (Theorem 1), so this one table serves
+// both routing modes.
+//
+// Each destination costs one BFS: every VRF distance follows from its
+// distance row (vrf_distance below). Storage is CSR over (dst, node, vrf)
+// — one contiguous hop pool plus an offset table, each destination's
+// states one contiguous slice — so a lookup is two loads and a build
+// performs O(1) allocations per destination.
 class VrfTable {
  public:
-  // dead: links to treat as absent (failure modeling); the gadget is built
-  // only over surviving links. Unreachable states get empty next-hop sets.
+  // dead: links to treat as absent (failure modeling); next hops never use
+  // them and distances route around them. Unreachable states get empty
+  // next-hop sets and distance kInfCost. K = 1 with no dead link rejects
+  // a disconnected graph.
   //
-  // runner: optional pool to fan the per-destination Dijkstra over. Each
-  // destination writes only dist_[dst] / nh_[dst] (pre-sized), so the
-  // result is byte-identical to the serial build.
+  // runner: optional pool to fan the per-destination work over. Every
+  // write lands in a pre-sized per-destination slice (two passes: count,
+  // prefix sum, fill), so the result is byte-identical to the serial
+  // build (nullptr or a 1-job runner).
   static VrfTable compute(const Graph& g, int k, const LinkSet* dead = nullptr,
                           util::Runner* runner = nullptr);
 
   // distance() value for unreachable states.
   static constexpr int kInfCost = std::numeric_limits<int>::max() / 4;
 
-  // Incremental repair (fault injection): rerun the per-destination
-  // Dijkstra + tight-edge DP only for the destinations in `dsts` against
-  // the new dead set; every other destination's dist_/nh_ slot is left
-  // untouched. Pair with destinations_affected_by for a sound `dsts` set.
+  // Incremental repair (fault injection): recompute only the destinations
+  // in `dsts` against the new dead set, splicing every other destination's
+  // slice into the rebuilt CSR unchanged. Pair with
+  // destinations_affected_by for a sound `dsts` set.
   void recompute_destinations(const Graph& g, const LinkSet* dead,
                               const std::vector<NodeId>& dsts,
                               util::Runner* runner = nullptr);
@@ -91,9 +104,10 @@ class VrfTable {
                                                topo::LinkId link,
                                                bool now_dead) const;
 
-  // One-call incremental splice, mirroring EcmpTable::splice_link_change:
-  // affected set against the pre-change table, then the transition, then
-  // the targeted recompute. Returns the affected destinations.
+  // One-call incremental splice (the serving layer's what-if queries):
+  // the affected set against the pre-change table, then the transition
+  // applied to `dead`, then the targeted recompute, packaged so callers
+  // cannot get the ordering wrong. Returns the affected destinations.
   std::vector<NodeId> splice_link_change(const Graph& g, LinkSet& dead,
                                          topo::LinkId link, bool now_dead,
                                          util::Runner* runner = nullptr);
@@ -102,18 +116,20 @@ class VrfTable {
 
   // Minimum VRF-graph cost from (vrf, node) to (VRF K, dst).
   int distance(NodeId node, int vrf, NodeId dst) const {
-    return dist_[static_cast<std::size_t>(dst)][index(node, vrf)];
+    return dist_[index(node, vrf, dst)];
   }
   // Entry distance for traffic sourced at `node` (hosts live in VRF K).
+  // Finite exactly when dst is reachable over the live links.
   int source_distance(NodeId node, NodeId dst) const {
     return distance(node, k_, dst);
   }
 
-  const std::vector<VrfHop>& next_hops(NodeId node, int vrf, NodeId dst) const {
-    return nh_[static_cast<std::size_t>(dst)][index(node, vrf)];
+  std::span<const VrfHop> next_hops(NodeId node, int vrf, NodeId dst) const {
+    const std::size_t i = index(node, vrf, dst);
+    return {hops_.data() + off_[i], off_[i + 1] - off_[i]};
   }
 
-  NodeId num_switches() const noexcept { return num_switches_; }
+  NodeId num_switches() const noexcept { return n_; }
 
   // Theorem 1 check for one pair: VRF distance == max(L, K) where L is the
   // physical hop distance.
@@ -125,21 +141,42 @@ class VrfTable {
   PathSet project_paths(NodeId src, NodeId dst, std::size_t cap = 4096) const;
 
  private:
-  // Dijkstra + tight-edge DP for one destination, writing dist_[dst] and
-  // nh_[dst] only (parallel-safe across destinations).
-  void compute_destination(const Graph& g, const LinkSet* dead, NodeId dst);
+  // Pass 1 for one destination: BFS, every state's distance into dist_,
+  // and each state's tight-edge count into off_ (at index + 1).
+  void count_destination(const Graph& g, const LinkSet& dead, NodeId dst);
+  // Pass 2 for one destination: the tight edges with their weights, at the
+  // offsets the prefix sum assigned.
+  void fill_destination(const Graph& g, const LinkSet& dead, NodeId dst);
 
-  std::size_t index(NodeId node, int vrf) const {
+  std::size_t states() const {
+    return static_cast<std::size_t>(n_) * static_cast<std::size_t>(k_);
+  }
+  // (node, vrf)'s offset within a destination's slice.
+  std::size_t state(NodeId node, int vrf) const {
     SPINELESS_DCHECK(vrf >= 1 && vrf <= k_);
     return static_cast<std::size_t>(node) * static_cast<std::size_t>(k_) +
            static_cast<std::size_t>(vrf - 1);
   }
+  std::size_t index(NodeId node, int vrf, NodeId dst) const {
+    return static_cast<std::size_t>(dst) * states() + state(node, vrf);
+  }
 
   int k_ = 0;
-  NodeId num_switches_ = 0;
-  // dist_[dst][(node,vrf)], nh_[dst][(node,vrf)].
-  std::vector<std::vector<int>> dist_;
-  std::vector<std::vector<std::vector<VrfHop>>> nh_;
+  NodeId n_ = 0;
+  // CSR over (dst, node, vrf): hops_[off_[i] .. off_[i + 1]) are the next
+  // hops of state i = index(node, vrf, dst); dist_ uses the same index.
+  std::vector<VrfHop> hops_;
+  std::vector<std::uint32_t> off_;
+  std::vector<int> dist_;
 };
+
+// VrfTable::distance(n, j, dst) from dst's BFS distance row over the links
+// not in `dead` (dist[n] < 0: unreachable), with the closed forms of
+// doc/architecture.md ("Path sampling"); kInfCost when unreachable. The
+// table and routing::BfsSampler share it, so both read one VRF-distance
+// model.
+int vrf_distance(const Graph& g, const LinkSet& dead,
+                 std::span<const std::int32_t> dist, int k, NodeId dst,
+                 NodeId n, int j);
 
 }  // namespace spineless::routing

@@ -112,9 +112,9 @@ std::unique_ptr<WarmState> WarmState::build(const ServiceConfig& cfg) {
   if (ws->cfg_.warm_time <= 0 || ws->cfg_.warm_time >= ws->cfg_.horizon)
     throw Error("service: warm_time must lie in (0, horizon)");
 
-  ws->ecmp_ = routing::EcmpTable::compute(ws->graph_);
-  ws->vrf_ = std::make_unique<routing::VrfTable>(
-      routing::VrfTable::compute(ws->graph_, ws->cfg_.net.su_k));
+  ws->table_ = routing::VrfTable::compute(
+      ws->graph_,
+      sim::shortest_union_k(ws->cfg_.net.mode, ws->cfg_.net.su_k));
 
   // Everything that determines the warm checkpoint's reconstruction. A
   // persisted snapshot whose hash differs is silently rebuilt.
@@ -400,30 +400,24 @@ WhatIfResult WarmState::affected(std::int64_t link, bool down) const {
 
   WhatIfResult r;
   r.fidelity = Fidelity::kPacket;  // answered from the packet tables
-  std::vector<topo::NodeId> dsts;
+  routing::VrfTable after = table_;
   routing::LinkSet dead;
-  if (cfg_.net.mode == sim::RoutingMode::kEcmp) {
-    routing::EcmpTable t = ecmp_;
-    dsts = t.splice_link_change(graph_, dead, l, down);
-  } else {
-    routing::VrfTable t = *vrf_;
-    dsts = t.splice_link_change(graph_, dead, l, down);
-  }
+  std::vector<topo::NodeId> dsts =
+      after.splice_link_change(graph_, dead, l, down);
   std::sort(dsts.begin(), dsts.end());
   r.affected_destinations = dsts.size();
   const std::size_t n = std::min<std::size_t>(dsts.size(), 32);
   r.affected_sample.assign(dsts.begin(), dsts.begin() + n);
 
-  // Physical-reachability delta, from BFS distances (mode-independent).
-  routing::EcmpTable after = ecmp_;
-  routing::LinkSet dead2;
-  after.splice_link_change(graph_, dead2, l, down);
+  // Physical-reachability delta: a VRF distance is finite exactly when
+  // the destination is reachable, in every mode.
+  constexpr int kInf = routing::VrfTable::kInfCost;
   std::int64_t before_unreach = 0, after_unreach = 0;
   for (topo::NodeId s = 0; s < graph_.num_switches(); ++s) {
     for (topo::NodeId d = 0; d < graph_.num_switches(); ++d) {
       if (s == d) continue;
-      if (ecmp_.distance(s, d) < 0) ++before_unreach;
-      if (after.distance(s, d) < 0) ++after_unreach;
+      if (table_.source_distance(s, d) >= kInf) ++before_unreach;
+      if (after.source_distance(s, d) >= kInf) ++after_unreach;
     }
   }
   r.unreachable_pairs_delta = after_unreach - before_unreach;

@@ -1,6 +1,6 @@
 // WarmState: everything spinelessd keeps resident so a what-if answer
-// costs milliseconds instead of a cold build — the topology, warm
-// ECMP/VRF tables, the baseline workload, a warm engine checkpoint
+// costs milliseconds instead of a cold build — the topology, the warm
+// forwarding table, the baseline workload, a warm engine checkpoint
 // (Network + FlowDriver + DegradationMonitor + FaultInjector advanced to
 // t_warm and sealed to bytes, never to disk on the request path), and the
 // baseline run's results that what-if answers report deltas against.
@@ -31,7 +31,6 @@
 #include "core/fct_experiment.h"
 #include "core/scenario.h"
 #include "fault/injector.h"
-#include "routing/ecmp.h"
 #include "routing/vrf.h"
 #include "service/request.h"
 #include "topo/graph.h"
@@ -155,8 +154,8 @@ class WarmState {
 
   ServiceConfig cfg_;
   topo::Graph graph_;
-  routing::EcmpTable ecmp_;
-  std::unique_ptr<routing::VrfTable> vrf_;
+  // The packet engine's forwarding table for cfg_.net's mode.
+  routing::VrfTable table_;
   std::vector<workload::FlowSpec> baseline_flows_;
   std::string warm_bytes_;  // sealed warm checkpoint (CheckpointSession)
   std::uint64_t warm_hash_ = 0;

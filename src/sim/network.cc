@@ -7,7 +7,7 @@
 
 namespace spineless::sim {
 
-// Switch device: forwards by ECMP or VRF tables; local rack traffic goes to
+// Switch device: forwards by the VRF table; local rack traffic goes to
 // the host port.
 class Network::SwitchDev : public Device {
  public:
@@ -193,22 +193,15 @@ void Network::send_hello(Simulator& sim, topo::LinkId link, int dir) {
   net_links_[2 * static_cast<std::size_t>(link) + dir].enqueue(sim, pkt);
 }
 
-// Only the table the active mode forwards with is computed; the other
-// would be dead weight per construction and per reconvergence. Wall time
-// is accumulated into table_build_s_ (BENCH_*.json's table_build_s), and
-// destinations fan over table_runner_ when the network is sharded.
+// Wall time is accumulated into table_build_s_ (BENCH_*.json's
+// table_build_s), and destinations fan over table_runner_ when the
+// network is sharded.
 void Network::rebuild_tables(const routing::LinkSet* dead) {
   const double start = util::monotonic_seconds();
-  if (cfg_.mode == RoutingMode::kEcmp) {
-    ecmp_ = std::make_unique<routing::EcmpTable>(
-        routing::EcmpTable::compute(graph_, dead, table_runner_.get()));
-    if (dead != nullptr && cfg_.validate_tables)
-      SPINELESS_CHECK_MSG(routing::ecmp_table_valid(graph_, *ecmp_, dead),
-                          "reconverged ECMP table failed validation");
-  } else if (cfg_.mode == RoutingMode::kShortestUnion) {
-    vrf_ = std::make_unique<routing::VrfTable>(
-        routing::VrfTable::compute(graph_, cfg_.su_k, dead,
-                                   table_runner_.get()));
+  if (cfg_.mode != RoutingMode::kSourceRouted) {
+    table_ = routing::VrfTable::compute(
+        graph_, shortest_union_k(cfg_.mode, cfg_.su_k), dead,
+        table_runner_.get());
   }
   installed_dead_ = dead != nullptr ? *dead : routing::LinkSet{};
   pending_repair_.clear();
@@ -240,13 +233,8 @@ void Network::repair_tables() {
   std::vector<char> mark(n, 0);
   std::vector<NodeId> dsts;
   for (const auto& [l, now_dead] : changed) {
-    std::vector<NodeId> aff;
-    if (ecmp_ != nullptr) {
-      aff = ecmp_->destinations_affected_by(graph_, l, now_dead);
-    } else if (vrf_ != nullptr) {
-      aff = vrf_->destinations_affected_by(graph_, l, now_dead);
-    }
-    for (const NodeId d : aff) {
+    for (const NodeId d :
+         table_.destinations_affected_by(graph_, l, now_dead)) {
       if (!mark[static_cast<std::size_t>(d)]) {
         mark[static_cast<std::size_t>(d)] = 1;
         dsts.push_back(d);
@@ -260,17 +248,8 @@ void Network::repair_tables() {
     rebuild_tables(&down_links_);
     return;
   }
-  if (ecmp_ != nullptr) {
-    ecmp_->recompute_destinations(graph_, &down_links_, dsts,
-                                  table_runner_.get());
-    if (cfg_.validate_tables)
-      SPINELESS_CHECK_MSG(
-          routing::ecmp_table_valid(graph_, *ecmp_, &down_links_),
-          "incrementally repaired ECMP table failed validation");
-  } else if (vrf_ != nullptr) {
-    vrf_->recompute_destinations(graph_, &down_links_, dsts,
-                                 table_runner_.get());
-  }
+  table_.recompute_destinations(graph_, &down_links_, dsts,
+                                table_runner_.get());
   installed_dead_ = down_links_;
   table_build_s_ += util::monotonic_seconds() - start;
 }
@@ -429,29 +408,21 @@ void Network::forward_at_switch(Simulator& sim, NodeId node, int slot,
   // when flowlet switching is on).
   const std::uint64_t key = hash_key(sim, node, pkt);
 
-  if (cfg_.mode == RoutingMode::kEcmp) {
-    const auto hops = ecmp_->next_hops(node, pkt.dst_tor);
-    if (hops.empty()) {
-      ++stats.no_route_drops;  // destination cut off by failures
-      pool.release(packet_node);
-      return;
-    }
-    const routing::Port& p = hops[pick(key, hops.size())];
-    out_link(node, p.link).enqueue_node(sim, packet_node);
-    return;
-  }
-  const auto& hops = vrf_->next_hops(node, pkt.vrf, pkt.dst_tor);
+  // ECMP forwards over the K = 1 table, so its packets keep the VRF level
+  // they were injected with.
+  const bool su = cfg_.mode == RoutingMode::kShortestUnion;
+  const auto hops = table_.next_hops(node, su ? pkt.vrf : 1, pkt.dst_tor);
   if (hops.empty()) {
-    ++stats.no_route_drops;
+    ++stats.no_route_drops;  // destination cut off by failures
     pool.release(packet_node);
     return;
   }
   std::size_t choice;
-  if (cfg_.weighted_su) {
+  if (su && cfg_.weighted_su) {
     std::int64_t total = 0;
     for (const auto& hop : hops) total += hop.weight;
     auto r = static_cast<std::int64_t>(
-        splitmix64(key ^ cfg_.ecmp_salt) % static_cast<std::uint64_t>(total));
+        splitmix64(key ^ kEcmpSalt) % static_cast<std::uint64_t>(total));
     choice = 0;
     while (r >= hops[choice].weight) {
       r -= hops[choice].weight;
@@ -461,7 +432,7 @@ void Network::forward_at_switch(Simulator& sim, NodeId node, int slot,
     choice = pick(key, hops.size());
   }
   const routing::VrfHop& h = hops[choice];
-  pkt.vrf = static_cast<std::int8_t>(h.next_vrf);
+  if (su) pkt.vrf = static_cast<std::int8_t>(h.next_vrf);
   out_link(node, h.port.link).enqueue_node(sim, packet_node);
 }
 

@@ -2,8 +2,8 @@
 // one host device per server, two unidirectional Links per cable (and per
 // host NIC). Forwarding is hop-by-hop with per-flow hashing:
 //
-//  * kEcmp          — shortest-path ECMP next-hop sets (EcmpTable), the
-//                     standard leaf-spine deployment;
+//  * kEcmp          — shortest-path ECMP, the standard leaf-spine
+//                     deployment: the K = 1 VrfTable's next hops;
 //  * kShortestUnion — VRF-tagged forwarding over the §4 gadget (VrfTable):
 //                     packets carry their VRF level, each hop hashes over
 //                     the BGP-multipath next hops of (vrf, switch, dst) and
@@ -15,7 +15,6 @@
 #include <memory>
 #include <vector>
 
-#include "routing/ecmp.h"
 #include "routing/types.h"
 #include "routing/vrf.h"
 #include "sim/link.h"
@@ -74,12 +73,6 @@ struct NetworkConfig {
   // lets tests assert that forwarding really uses (only) the intended
   // path sets. Off by default (costs a per-packet branch).
   bool trace_paths = false;
-  // Re-validate forwarding tables (loop-freedom, distances, dead-link
-  // avoidance) after every reconverge_tables(). The check re-runs a BFS
-  // per destination — O(V*E) per dst — so it is off by default and meant
-  // for tests and debugging, not release benches.
-  bool validate_tables = false;
-  std::uint64_t ecmp_salt = 0x5eedULL;
   // Number of shards for deterministic intra-cell parallelism: switches
   // (with their hosts, flows, and NICs) are block-partitioned into this
   // many shards, each with its own event heap and packet pool, advanced by
@@ -242,7 +235,7 @@ class Network {
   }
   // Incremental reconvergence: computes which destinations the links whose
   // routed-out state changed since the installed tables can affect
-  // (EcmpTable/VrfTable::destinations_affected_by) and recomputes only
+  // (VrfTable::destinations_affected_by) and recomputes only
   // those — a delta repair instead of reconverge_tables()'s full rebuild.
   // Falls back to the full rebuild when more than half the destinations
   // are affected. Time is accumulated into table_build_seconds().
@@ -326,10 +319,13 @@ class Network {
   // flowlet switching is enabled.
   std::uint64_t hash_key(Simulator& sim, NodeId node, const Packet& pkt);
 
+  // Mixed into every per-hop hash key.
+  static constexpr std::uint64_t kEcmpSalt = 0x5eed;
+
   // Maps the hash onto [0, n) with a multiply-shift instead of a modulo —
   // the per-hop divide was a measurable slice of forwarding cost.
   std::uint32_t pick(std::uint64_t key, std::size_t n) const {
-    const std::uint64_t h = splitmix64(key ^ cfg_.ecmp_salt);
+    const std::uint64_t h = splitmix64(key ^ kEcmpSalt);
     return static_cast<std::uint32_t>(
         (static_cast<unsigned __int128>(h) * n) >> 64);
   }
@@ -348,10 +344,9 @@ class Network {
   // Nested::kAllow — the benches divide --jobs between sweep and cell.
   std::unique_ptr<util::Runner> table_runner_;
   double table_build_s_ = 0;
-  // Forwarding table of the active mode; the other stays null (computing
-  // both doubled reconvergence cost for no data-plane benefit).
-  std::unique_ptr<routing::EcmpTable> ecmp_;  // only in kEcmp mode
-  std::unique_ptr<routing::VrfTable> vrf_;    // only in kShortestUnion mode
+  // The forwarding table, built with K = shortest_union_k(mode, su_k);
+  // empty in kSourceRouted mode, which forwards along pinned routes.
+  routing::VrfTable table_;
 
   // One pool per shard, declared before the links so they outlive them.
   // Cross-shard packets are released into the receiving shard's free list

@@ -6,7 +6,7 @@
 #include <set>
 
 #include "ctrl/bgp.h"
-#include "routing/ecmp.h"
+#include "routing/vrf.h"
 #include "topo/analysis.h"
 #include "topo/builders.h"
 
@@ -19,7 +19,8 @@ Graph cycle_graph(int n) {
   return g;
 }
 
-// After flooding, every router's SPF must equal the analytic EcmpTable.
+// After flooding, every router's SPF must equal the analytic ECMP table
+// (the K = 1 VrfTable).
 struct OspfCase {
   enum Family { kLeafSpine, kDRing, kRrg, kCycle } family;
   int a, b;
@@ -46,14 +47,15 @@ TEST_P(OspfEquivalence, SpfMatchesAnalyticEcmpTable) {
   OspfNetwork ospf(g);
   ospf.flood();
   ASSERT_TRUE(ospf.converged());
-  const auto table = routing::EcmpTable::compute(g);
+  const auto table = routing::VrfTable::compute(g, 1);
   for (NodeId r = 0; r < g.num_switches(); ++r) {
     for (NodeId dst = 0; dst < g.num_switches(); ++dst) {
       if (r == dst) continue;
-      EXPECT_EQ(ospf.distance(r, dst), table.distance(r, dst));
+      EXPECT_EQ(ospf.distance(r, dst), table.distance(r, 1, dst));
       auto mine = ospf.next_hops(r, dst);
-      const auto want_span = table.next_hops(r, dst);
-      std::vector<Port> want(want_span.begin(), want_span.end());
+      std::vector<Port> want;
+      for (const routing::VrfHop& h : table.next_hops(r, 1, dst))
+        want.push_back(h.port);
       auto key = [](const Port& p) { return p.link; };
       std::sort(mine.begin(), mine.end(),
                 [&](const Port& x, const Port& y) { return key(x) < key(y); });

@@ -7,7 +7,7 @@
 #include <set>
 #include <vector>
 
-#include "routing/ecmp.h"
+#include "reference_tables.h"
 #include "routing/paths.h"
 #include "routing/vrf.h"
 #include "topo/analysis.h"
@@ -190,22 +190,10 @@ Path table_walk(const VrfTable& t, NodeId src, NodeId dst, Rng& rng) {
   Path path{src};
   int vrf = t.k();
   for (NodeId node = src; node != dst;) {
-    const auto& hops = t.next_hops(node, vrf, dst);
+    const auto hops = t.next_hops(node, vrf, dst);
     const VrfHop& h = hops[rng.uniform(hops.size())];
     node = h.port.neighbor;
     vrf = h.next_vrf;
-    path.push_back(node);
-  }
-  return path;
-}
-
-// The ECMP table walk, for K = 1.
-Path ecmp_walk(const EcmpTable& t, NodeId src, NodeId dst, Rng& rng) {
-  if (t.distance(src, dst) < 0) return {};
-  Path path{src};
-  for (NodeId node = src; node != dst;) {
-    const auto hops = t.next_hops(node, dst);
-    node = hops[rng.uniform(hops.size())].neighbor;
     path.push_back(node);
   }
   return path;
@@ -235,15 +223,24 @@ LinkSet dead_around_switch0(const Graph& g) {
   return {g.neighbors(0)[0].link, g.neighbors(0)[1].link};
 }
 
+// The table and the sampler read one closed form; both must equal an
+// independent Dijkstra over the VRF graph at every state.
 void expect_distances_match(const Graph& g, int k, const LinkSet* dead) {
   const VrfTable t = VrfTable::compute(g, k, dead);
   BfsSampler sampler(g, k);
   set_dead(g, dead, sampler);
-  for (NodeId dst = 0; dst < g.num_switches(); ++dst)
-    for (NodeId n = 0; n < g.num_switches(); ++n)
-      for (int j = 1; j <= k; ++j)
-        ASSERT_EQ(sampler.distance(n, j, dst), t.distance(n, j, dst))
+  for (NodeId dst = 0; dst < g.num_switches(); ++dst) {
+    const auto ref = reference_vrf_distances(g, k, dead, dst);
+    for (NodeId n = 0; n < g.num_switches(); ++n) {
+      for (int j = 1; j <= k; ++j) {
+        const int want = ref[static_cast<std::size_t>(n * k + j - 1)];
+        ASSERT_EQ(t.distance(n, j, dst), want)
             << "k=" << k << " dst=" << dst << " node=" << n << " vrf=" << j;
+        ASSERT_EQ(sampler.distance(n, j, dst), want)
+            << "k=" << k << " dst=" << dst << " node=" << n << " vrf=" << j;
+      }
+    }
+  }
 }
 
 TEST(BfsSampler, VrfDistancesEqualTheTable) {
@@ -258,22 +255,16 @@ TEST(BfsSampler, VrfDistancesEqualTheTable) {
 
 void expect_draws_match(const Graph& g, int k, const LinkSet* dead) {
   const VrfTable t = VrfTable::compute(g, k, dead);
-  const EcmpTable ecmp = EcmpTable::compute(g, dead);
   BfsSampler sampler(g, k);
   set_dead(g, dead, sampler);
-  Rng a(k), b(k), c(k);
+  Rng a(k), b(k);
   for (int i = 0; i < 400; ++i) {
     const auto src = static_cast<NodeId>(a.uniform(g.num_switches()));
     const auto dst = static_cast<NodeId>(a.uniform(g.num_switches()));
     b.uniform(g.num_switches());
     b.uniform(g.num_switches());
-    c.uniform(g.num_switches());
-    c.uniform(g.num_switches());
-    const Path p = sampler.sample(src, dst, a);
-    ASSERT_EQ(p, table_walk(t, src, dst, b)) << "k=" << k << " i=" << i;
-    if (k == 1) {
-      ASSERT_EQ(p, ecmp_walk(ecmp, src, dst, c));
-    }
+    ASSERT_EQ(sampler.sample(src, dst, a), table_walk(t, src, dst, b))
+        << "k=" << k << " i=" << i;
   }
   EXPECT_EQ(a.next(), b.next());
 }

@@ -1,9 +1,10 @@
-#include "routing/ecmp.h"
-
+// The ECMP table: shortest-path ECMP is the K = 1 VrfTable (Theorem 1).
 #include <gtest/gtest.h>
 
 #include <utility>
 
+#include "reference_tables.h"
+#include "routing/vrf.h"
 #include "topo/analysis.h"
 #include "topo/builders.h"
 
@@ -12,24 +13,24 @@ namespace {
 
 TEST(EcmpTable, LeafSpineNextHops) {
   const Graph g = topo::make_leaf_spine(4, 2);
-  const auto t = EcmpTable::compute(g);
+  const auto t = VrfTable::compute(g, 1);
   // Leaf 0 to leaf 1: both spines are valid next hops.
-  EXPECT_EQ(t.next_hops(0, 1).size(), 2u);
-  EXPECT_EQ(t.distance(0, 1), 2);
+  EXPECT_EQ(t.next_hops(0, 1, 1).size(), 2u);
+  EXPECT_EQ(t.distance(0, 1, 1), 2);
   // Leaf to spine: single direct hop.
   const NodeId spine = topo::leaf_spine_num_leaves(4, 2);
-  EXPECT_EQ(t.next_hops(0, spine).size(), 1u);
-  EXPECT_EQ(t.next_hops(0, spine)[0].neighbor, spine);
-  EXPECT_EQ(t.distance(0, spine), 1);
+  EXPECT_EQ(t.next_hops(0, 1, spine).size(), 1u);
+  EXPECT_EQ(t.next_hops(0, 1, spine)[0].port.neighbor, spine);
+  EXPECT_EQ(t.distance(0, 1, spine), 1);
 }
 
 TEST(EcmpTable, DistancesMatchBfs) {
   const Graph g = topo::make_dring(6, 2, 1).graph;
-  const auto t = EcmpTable::compute(g);
+  const auto t = VrfTable::compute(g, 1);
   for (NodeId dst = 0; dst < g.num_switches(); ++dst) {
     const auto d = topo::bfs_distances(g, dst);
     for (NodeId u = 0; u < g.num_switches(); ++u)
-      EXPECT_EQ(t.distance(u, dst), d[static_cast<std::size_t>(u)]);
+      EXPECT_EQ(t.distance(u, 1, dst), d[static_cast<std::size_t>(u)]);
   }
 }
 
@@ -44,7 +45,7 @@ TEST_P(EcmpValidity, TableValidOnAllFamilies) {
       topo::make_rrg(12 + 2 * i, 4, 1, static_cast<std::uint64_t>(i)),
   };
   for (const Graph& g : graphs) {
-    const auto t = EcmpTable::compute(g);
+    const auto t = VrfTable::compute(g, 1);
     EXPECT_TRUE(ecmp_table_valid(g, t)) << g.name();
   }
 }
@@ -55,10 +56,10 @@ TEST(EcmpTable, DirectNeighborHasSingleNextHopInFlatNetworks) {
   // The §4 motivation: adjacent racks in a flat network have exactly one
   // shortest path, so ECMP cannot spread their traffic.
   const Graph g = topo::make_dring(6, 2, 1).graph;
-  const auto t = EcmpTable::compute(g);
+  const auto t = VrfTable::compute(g, 1);
   for (NodeId u = 0; u < g.num_switches(); ++u)
     for (const Port& p : g.neighbors(u))
-      EXPECT_EQ(t.next_hops(u, p.neighbor).size(), 1u);
+      EXPECT_EQ(t.next_hops(u, 1, p.neighbor).size(), 1u);
 }
 
 TEST(EcmpTable, LeafSpineLeavesAlwaysHaveYNextHops) {
@@ -66,19 +67,19 @@ TEST(EcmpTable, LeafSpineLeavesAlwaysHaveYNextHops) {
   // always sees all y spines.
   const int y = 3;
   const Graph g = topo::make_leaf_spine(6, y);
-  const auto t = EcmpTable::compute(g);
+  const auto t = VrfTable::compute(g, 1);
   const NodeId leaves = topo::leaf_spine_num_leaves(6, y);
   for (NodeId a = 0; a < leaves; ++a)
     for (NodeId b = 0; b < leaves; ++b)
       if (a != b) {
-        EXPECT_EQ(t.next_hops(a, b).size(), static_cast<std::size_t>(y));
+        EXPECT_EQ(t.next_hops(a, 1, b).size(), static_cast<std::size_t>(y));
       }
 }
 
 TEST(EcmpTable, DisconnectedGraphRejected) {
   Graph g(3);
   g.add_link(0, 1);
-  EXPECT_THROW(EcmpTable::compute(g), spineless::Error);
+  EXPECT_THROW(VrfTable::compute(g, 1), spineless::Error);
 }
 
 // Incremental repair (the fault injector's reconvergence path): after a
@@ -86,7 +87,7 @@ TEST(EcmpTable, DisconnectedGraphRejected) {
 // destinations must land on exactly the table a full rebuild produces.
 TEST(EcmpTable, IncrementalRepairMatchesFullRebuild) {
   const Graph g = topo::make_rrg(16, 4, 1, /*seed=*/7);
-  EcmpTable t = EcmpTable::compute(g);
+  VrfTable t = VrfTable::compute(g, 1);
   LinkSet dead;
   const std::pair<LinkId, bool> toggles[] = {
       {0, true}, {5, true}, {0, false}, {9, true}, {5, false}, {9, false}};
@@ -99,16 +100,17 @@ TEST(EcmpTable, IncrementalRepairMatchesFullRebuild) {
       dead.erase(link);
     }
     t.recompute_destinations(g, &dead, dsts);
-    const EcmpTable full = EcmpTable::compute(g, &dead);
+    const VrfTable full = VrfTable::compute(g, 1, &dead);
     for (NodeId d = 0; d < g.num_switches(); ++d) {
       for (NodeId u = 0; u < g.num_switches(); ++u) {
-        ASSERT_EQ(t.distance(u, d), full.distance(u, d)) << u << "->" << d;
-        const auto a = t.next_hops(u, d);
-        const auto b = full.next_hops(u, d);
+        ASSERT_EQ(t.distance(u, 1, d), full.distance(u, 1, d))
+            << u << "->" << d;
+        const auto a = t.next_hops(u, 1, d);
+        const auto b = full.next_hops(u, 1, d);
         ASSERT_EQ(a.size(), b.size()) << u << "->" << d;
         for (std::size_t i = 0; i < a.size(); ++i) {
-          ASSERT_EQ(a[i].neighbor, b[i].neighbor);
-          ASSERT_EQ(a[i].link, b[i].link);
+          ASSERT_EQ(a[i].port.neighbor, b[i].port.neighbor);
+          ASSERT_EQ(a[i].port.link, b[i].port.link);
         }
       }
     }
@@ -124,14 +126,14 @@ TEST(EcmpTable, RestoreRepairIsSoundOnACycle) {
   for (NodeId i = 0; i < 4; ++i) g.add_link(i, (i + 1) % 4);
   g.set_servers(0, 1);
   LinkSet dead{0};
-  EcmpTable t = EcmpTable::compute(g, &dead);
+  VrfTable t = VrfTable::compute(g, 1, &dead);
   const auto dsts = t.destinations_affected_by(g, 0, /*now_dead=*/false);
   dead.erase(0);
   t.recompute_destinations(g, &dead, dsts);
-  const EcmpTable full = EcmpTable::compute(g);
+  const VrfTable full = VrfTable::compute(g, 1);
   for (NodeId d = 0; d < 4; ++d)
     for (NodeId u = 0; u < 4; ++u)
-      EXPECT_EQ(t.distance(u, d), full.distance(u, d));
+      EXPECT_EQ(t.distance(u, 1, d), full.distance(u, 1, d));
   EXPECT_TRUE(ecmp_table_valid(g, t));
 }
 
@@ -144,7 +146,7 @@ TEST(EcmpTable, ValidityCheckerCatchesCorruption) {
   line.add_link(0, 1);
   line.add_link(1, 2);
   line.add_link(2, 3);
-  const auto t_line = EcmpTable::compute(line);
+  const auto t_line = VrfTable::compute(line, 1);
   EXPECT_FALSE(ecmp_table_valid(cyc, t_line));
 }
 

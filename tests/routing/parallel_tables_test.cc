@@ -3,7 +3,7 @@
 // (and scheduling order) can never change the result.
 #include <gtest/gtest.h>
 
-#include "routing/ecmp.h"
+#include "reference_tables.h"
 #include "routing/vrf.h"
 #include "topo/builders.h"
 #include "util/rng.h"
@@ -23,23 +23,6 @@ LinkSet random_dead_links(const topo::Graph& g, std::uint64_t seed,
   return dead;
 }
 
-void expect_same_ecmp(const topo::Graph& g, const EcmpTable& a,
-                      const EcmpTable& b) {
-  ASSERT_EQ(a.num_switches(), b.num_switches());
-  for (NodeId dst = 0; dst < g.num_switches(); ++dst) {
-    for (NodeId u = 0; u < g.num_switches(); ++u) {
-      EXPECT_EQ(a.distance(u, dst), b.distance(u, dst));
-      const auto ha = a.next_hops(u, dst);
-      const auto hb = b.next_hops(u, dst);
-      ASSERT_EQ(ha.size(), hb.size()) << "u=" << u << " dst=" << dst;
-      for (std::size_t i = 0; i < ha.size(); ++i) {
-        EXPECT_EQ(ha[i].neighbor, hb[i].neighbor);
-        EXPECT_EQ(ha[i].link, hb[i].link);
-      }
-    }
-  }
-}
-
 void expect_same_vrf(const topo::Graph& g, int k, const VrfTable& a,
                      const VrfTable& b) {
   ASSERT_EQ(a.num_switches(), b.num_switches());
@@ -47,8 +30,8 @@ void expect_same_vrf(const topo::Graph& g, int k, const VrfTable& a,
     for (NodeId u = 0; u < g.num_switches(); ++u) {
       for (int vrf = 1; vrf <= k; ++vrf) {
         EXPECT_EQ(a.distance(u, vrf, dst), b.distance(u, vrf, dst));
-        const auto& ha = a.next_hops(u, vrf, dst);
-        const auto& hb = b.next_hops(u, vrf, dst);
+        const auto ha = a.next_hops(u, vrf, dst);
+        const auto hb = b.next_hops(u, vrf, dst);
         ASSERT_EQ(ha.size(), hb.size());
         for (std::size_t i = 0; i < ha.size(); ++i) {
           EXPECT_EQ(ha[i].port.neighbor, hb[i].port.neighbor);
@@ -67,9 +50,9 @@ TEST(ParallelTables, EcmpMatchesSerialOnHealthyGraphs) {
   for (const auto& g : {topo::make_leaf_spine(6, 2),
                         topo::make_dring(5, 2, 4).graph,
                         topo::make_rrg(12, 4, 4, /*seed=*/3)}) {
-    const auto serial = EcmpTable::compute(g);
-    const auto parallel = EcmpTable::compute(g, nullptr, &pool);
-    expect_same_ecmp(g, serial, parallel);
+    const auto serial = VrfTable::compute(g, 1);
+    const auto parallel = VrfTable::compute(g, 1, nullptr, &pool);
+    expect_same_vrf(g, 1, serial, parallel);
     EXPECT_TRUE(ecmp_table_valid(g, parallel));
   }
 }
@@ -80,9 +63,9 @@ TEST(ParallelTables, EcmpMatchesSerialUnderRandomFailures) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const LinkSet dead =
         random_dead_links(g, seed, static_cast<int>(seed) % 5 + 1);
-    const auto serial = EcmpTable::compute(g, &dead);
-    const auto parallel = EcmpTable::compute(g, &dead, &pool);
-    expect_same_ecmp(g, serial, parallel);
+    const auto serial = VrfTable::compute(g, 1, &dead);
+    const auto parallel = VrfTable::compute(g, 1, &dead, &pool);
+    expect_same_vrf(g, 1, serial, parallel);
     EXPECT_TRUE(ecmp_table_valid(g, parallel, &dead));
   }
 }
@@ -112,7 +95,8 @@ TEST(ParallelTables, VrfMatchesSerialUnderRandomFailures) {
 TEST(ParallelTables, SingleJobRunnerTakesSerialPath) {
   util::Runner one(1);
   const auto g = topo::make_leaf_spine(4, 2);
-  expect_same_ecmp(g, EcmpTable::compute(g), EcmpTable::compute(g, nullptr, &one));
+  expect_same_vrf(g, 1, VrfTable::compute(g, 1),
+                  VrfTable::compute(g, 1, nullptr, &one));
 }
 
 }  // namespace
