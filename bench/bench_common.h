@@ -170,6 +170,7 @@ struct Cell {
   std::uint64_t events = 0;
   int intra_jobs = 1;
   double table_build_s = 0;
+  double path_sample_s = 0;  // hybrid cells: the path-sampling part of it
   // Self-healing runner outcome. Emitted only when non-default so a clean
   // run's JSON is byte-identical with or without the resilient path.
   std::string status = "ok";  // "ok" | "failed" | "interrupted"
@@ -258,6 +259,7 @@ void for_each_field(C& c, V&& v) {
   v.field("error", c.error, c.status != "ok" && !c.error.empty());
   v.field("attempts", c.attempts, c.attempts > 1);
   v.field("table_build_s", c.table_build_s, c.table_build_s > 0);
+  v.field("path_sample_s", c.path_sample_s, c.path_sample_s > 0);
   v.section("fct", c.has_fct, [&] {
     v.field("flows", c.flows);
     v.field("completed", c.completed);
@@ -539,6 +541,7 @@ inline std::vector<workload::FlowSpec> rng_tier_flows(
 // Copies a HybridResult into a journal-round-trippable cell.
 inline Cell hybrid_cell(const std::string& label, const core::HybridResult& r) {
   Cell c = fct_cell(label, r, r.packet_events);
+  c.path_sample_s = r.path_sample_s;
   c.has_hybrid = true;
   c.result_hash = r.result_hash;
   c.fluid_windows = r.fluid_windows;

@@ -104,8 +104,10 @@ int run_rng_tier(const Flags& flags) {
 
   bench::BenchJson json("fig6_scale", flags);
   if (sweep.journal().loaded() > 0) json.mark_resumed();
+  // "set-up" is the hybrid's table_build_s: region tables, path sampling,
+  // region cut and fault partition; "paths" is its path-sampling part.
   Table t({"switches", "family", "p50 (ms)", "p99 (ms)", "completed",
-           "pkt events", "tables (s)"});
+           "pkt events", "set-up (s)", "paths (s)"});
   for (std::size_t i = 0; i < n_cells; ++i) {
     const auto& c = cells[i];
     json.add(c);
@@ -114,7 +116,8 @@ int run_rng_tier(const Flags& flags) {
                c.status == "ok" ? Table::fmt(c.p50_ms) : "(" + c.status + ")",
                c.status == "ok" ? Table::fmt(c.p99_ms) : "-",
                std::to_string(c.completed) + "/" + std::to_string(c.flows),
-               std::to_string(c.events), Table::fmt(c.table_build_s, 2)});
+               std::to_string(c.events), Table::fmt(c.table_build_s, 2),
+               Table::fmt(c.path_sample_s, 3)});
   }
   std::printf("%s", t.to_string().c_str());
   if (bench::interrupted()) {

@@ -9,7 +9,8 @@
 #   3. rerun with --resume, which must decode the journaled cells and run
 #      the rest.
 # The resumed BENCH JSON must equal the clean one modulo wall-clock timing
-# fields (wall_s, total_wall_s, events_per_sec, table_build_s).
+# fields (wall_s, total_wall_s, events_per_sec, table_build_s,
+# path_sample_s).
 #
 # KILLED_ARGS (optional environment) adds flags to the killed run only, so
 # its journal and checkpoints belong to another configuration: the resumed
@@ -72,7 +73,8 @@ fi
 python3 - <<'EOF'
 import json, sys
 
-STRIP = {"wall_s", "total_wall_s", "events_per_sec", "table_build_s"}
+STRIP = {"wall_s", "total_wall_s", "events_per_sec", "table_build_s",
+         "path_sample_s"}
 
 def norm(path):
     with open(path) as f:

@@ -884,6 +884,7 @@ HybridResult run_hybrid_experiment_flows(
   Rng path_rng(splitmix64(cfg.fct.seed ^ kPathStreamSalt));
   std::vector<routing::Path> paths;
   paths.reserve(specs.size());
+  routing::BfsSampler::Counters path_work;
   {
     // Scoped: its distance cache (up to 64 arrays of num_switches ints)
     // must not outlive set-up.
@@ -894,7 +895,9 @@ HybridResult run_hybrid_experiment_flows(
                                      g.tor_of_host(f.dst), path_rng));
       SPINELESS_CHECK_MSG(!paths.back().empty(), "graph is disconnected");
     }
+    path_work = sampler.counters();
   }
+  const double path_sample_s = util::monotonic_seconds() - setup_start;
 
   // --- Region selection + packet subgraph ---
   topo::RegionCut cut;
@@ -1164,6 +1167,8 @@ HybridResult run_hybrid_experiment_flows(
   result.retransmits = driver.total_retransmits();
   result.intra_jobs = net.config().intra_jobs;
   result.table_build_s = net.table_build_seconds() + setup_s;
+  result.path_sample_s = path_sample_s;
+  result.path_sample_work = path_work;
   rh.mix(result.flows)
       .mix(result.completed)
       .mix(result.packet_events)

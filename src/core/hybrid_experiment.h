@@ -26,6 +26,7 @@
 
 #include "core/fct_experiment.h"
 #include "fault/injector.h"
+#include "routing/bfs_sampler.h"
 #include "topo/region.h"
 #include "workload/flows.h"
 
@@ -85,6 +86,11 @@ struct HybridResult {
   std::int64_t retransmits = 0;    // internal TCP flows
   int intra_jobs = 1;
   double table_build_s = 0.0;      // region tables + path sampling setup
+  // The part of table_build_s spent sampling every flow's full-graph path,
+  // and the sampler's BFS work for it. Timing and work counts only: never
+  // part of result_hash.
+  double path_sample_s = 0.0;
+  routing::BfsSampler::Counters path_sample_work;
   bool finished = true;            // false when the cancel hook stopped it
   // Order-sensitive chain over every per-flow outcome — the byte-identity
   // fingerprint the determinism suite and check.sh's smoke stage compare.

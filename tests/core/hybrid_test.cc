@@ -91,6 +91,12 @@ TEST(Hybrid, MixesAllThreeFlowKinds) {
   EXPECT_GT(r.fluid_windows, 0u);
   EXPECT_GT(r.fluid_solves, 0u);
   EXPECT_EQ(r.region_switches, 4);
+  // The set-up's full-graph path sampling is attributed: its BFS work is
+  // counted, and its time is a part of table_build_s.
+  EXPECT_GT(r.path_sample_work.rows_built, 0u);
+  EXPECT_GT(r.path_sample_work.row_edge_visits, 0u);
+  EXPECT_GT(r.path_sample_s, 0.0);
+  EXPECT_LE(r.path_sample_s, r.table_build_s);
 }
 
 // Golden answer of the small cell: fluid rates feed every FCT, so any

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "reference_tables.h"
@@ -51,17 +52,20 @@ TEST(BfsSampler, GoldenPathsOnLargeDring) {
 }
 
 // A timing-free guard on the BFS work of the large-RRG draws: any change
-// to how far rows grow, when they resume or how the cache evicts moves
-// these counts. Full rows would scan every port once per row built.
+// to how far rows and balls grow, when rows resume or how the cache evicts
+// moves these counts. Full rows would scan every port once per row built;
+// rows grown to src's level alone scanned 5794160 ports and resumed 64
+// times here.
 TEST(BfsSampler, WorkOnLargeRrgIsPinned) {
   const Graph g = topo::make_rrg(4500, 16, 2, 11);
   BfsSampler sampler(g);
   sample_hash(g, sampler);
   const BfsSampler::Counters& work = sampler.counters();
   EXPECT_EQ(work.rows_built, 187u);
-  EXPECT_EQ(work.rows_resumed, 64u);
-  EXPECT_EQ(work.edge_visits, 5794160u);
-  EXPECT_LT(work.edge_visits,
+  EXPECT_EQ(work.rows_resumed, 10u);
+  EXPECT_EQ(work.row_edge_visits, 49584u);
+  EXPECT_EQ(work.ball_edge_visits, 103934u);
+  EXPECT_LT(work.row_edge_visits + work.ball_edge_visits,
             work.rows_built * 2 * static_cast<std::uint64_t>(g.num_links()));
 }
 
@@ -213,7 +217,8 @@ std::vector<Graph> property_graphs() {
           topo::make_leaf_spine(3, 2), ring(21)};
 }
 
-void set_dead(const Graph& g, const LinkSet* dead, BfsSampler& sampler) {
+template <class Sampler>
+void set_dead(const Graph& g, const LinkSet* dead, Sampler& sampler) {
   for (LinkId l = 0; dead != nullptr && l < g.num_links(); ++l)
     if (dead->contains(l)) sampler.set_link_dead(l, true);
 }
@@ -347,6 +352,80 @@ TEST(BfsSampler, ResumedAndEvictedRowsDrawLikeCompleteRows) {
   }
   EXPECT_GT(resumed, 0u);
   EXPECT_GT(most_built, 64u);  // the 64-row cache evicted
+}
+
+// Draws 1500 seeded pairs through one long-lived sampler and the one-sided
+// reference, checking every path and the Rng state after every draw. The
+// destinations are 96 skewed switches, more than the 64-row cache holds,
+// each met again by fresh sources, so rows are hit, resumed and evicted;
+// one pair in eight has equal endpoints and one in eight adjacent ones.
+// Then 300 uniform pairs each on a fresh sampler, whose rows stop exactly
+// where the two sides meet.
+void expect_meet_equals_row(const Graph& g, int k, const LinkSet* dead,
+                            std::span<const char> mask,
+                            BfsSampler::Counters& work) {
+  BfsSampler sampler(g, k, mask);
+  ReferenceRowSampler ref(g, k, mask);
+  set_dead(g, dead, sampler);
+  set_dead(g, dead, ref);
+  const NodeId n = g.num_switches();
+  Rng pairs(0x3e37 + static_cast<std::uint64_t>(k)), a(k), b(k);
+  for (int i = 0; i < 1500; ++i) {
+    const auto dst = static_cast<NodeId>(pairs.uniform(96) * 37 % n);
+    auto src = static_cast<NodeId>(pairs.uniform(n));
+    if (i % 8 == 0) src = dst;
+    if (i % 8 == 1) {
+      const auto& ports = g.neighbors(dst);
+      src = ports[pairs.uniform(ports.size())].neighbor;
+    }
+    ASSERT_EQ(sampler.sample(src, dst, a), ref.sample(src, dst, b))
+        << "k=" << k << " i=" << i << " src=" << src << " dst=" << dst;
+    ASSERT_EQ(a.state(), b.state()) << "k=" << k << " i=" << i;
+  }
+  const BfsSampler::Counters& c = sampler.counters();
+  work.rows_built += c.rows_built;
+  work.rows_resumed += c.rows_resumed;
+  work.row_edge_visits += c.row_edge_visits;
+  work.ball_edge_visits += c.ball_edge_visits;
+  for (int i = 0; i < 300; ++i) {
+    const auto src = static_cast<NodeId>(pairs.uniform(n));
+    const auto dst = static_cast<NodeId>(pairs.uniform(n));
+    BfsSampler fresh(g, k, mask);
+    ReferenceRowSampler fresh_ref(g, k, mask);
+    set_dead(g, dead, fresh);
+    set_dead(g, dead, fresh_ref);
+    ASSERT_EQ(fresh.sample(src, dst, a), fresh_ref.sample(src, dst, b))
+        << "fresh k=" << k << " i=" << i << " src=" << src << " dst=" << dst;
+    ASSERT_EQ(a.state(), b.state()) << "fresh k=" << k << " i=" << i;
+  }
+}
+
+TEST(BfsSampler, MeetInTheMiddleEqualsOneSidedRow) {
+  // A DRing (long rings of supernodes), a sparse RRG (diameter ~10, far
+  // past 2K - 2 for every K) and a leaf-spine (distance 2 between leaves).
+  const std::vector<Graph> graphs = {topo::make_dring(40, 3, 1).graph,
+                                     topo::make_rrg(600, 3, 1, 9),
+                                     topo::make_leaf_spine(24, 6)};
+  for (const Graph& g : graphs) {
+    BfsSampler::Counters work;
+    const LinkSet dead = dead_around_switch0(g);
+    LinkSet many_dead;  // every seventh link, all over the graph
+    for (LinkId l = 3; l < g.num_links(); l += 7) many_dead.insert(l);
+    for (int k = 1; k <= 4; ++k) {
+      expect_meet_equals_row(g, k, nullptr, {}, work);
+      expect_meet_equals_row(g, k, &dead, {}, work);
+      expect_meet_equals_row(g, k, &many_dead, {}, work);
+    }
+    // The fault re-path sampler's shape: K = 1, every fifth switch
+    // excluded from transit.
+    std::vector<char> mask(static_cast<std::size_t>(g.num_switches()));
+    for (std::size_t i = 0; i < mask.size(); i += 5) mask[i] = 1;
+    expect_meet_equals_row(g, 1, nullptr, mask, work);
+    expect_meet_equals_row(g, 1, &dead, mask, work);
+    EXPECT_GT(work.rows_built, 64u);  // the cache evicted
+    EXPECT_GT(work.rows_resumed, 0u);
+    EXPECT_GT(work.ball_edge_visits, 0u);  // src-side balls were grown
+  }
 }
 
 // Every simple path of SU(K) is drawn and nothing else simple is. Like the

@@ -1,15 +1,22 @@
-// Test-only references for routing::VrfTable: an independent Dijkstra over
-// the VRF graph and the ECMP (K = 1) table validity checker.
+// Test-only references for routing::VrfTable and routing::BfsSampler: an
+// independent Dijkstra over the VRF graph, the ECMP (K = 1) table validity
+// checker, and the one-sided lazy-row path sampler that BfsSampler's
+// meet-in-the-middle growth must draw exactly like.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <queue>
+#include <span>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "routing/vrf.h"
 #include "topo/graph.h"
+#include "util/rng.h"
 
 namespace spineless::routing {
 
@@ -111,5 +118,141 @@ inline bool ecmp_table_valid(const Graph& g, const VrfTable& table,
   }
   return true;
 }
+
+// The one-sided sampler: per destination one cached BFS row, grown a
+// level at a time until src is labelled and depth >= K - 1, then the
+// hop-by-hop VRF walk over that row alone (the far rule at d >= 2K, the
+// closed forms below it). Same constructor and sample() contract as
+// BfsSampler, whose draws must equal these.
+class ReferenceRowSampler {
+ public:
+  explicit ReferenceRowSampler(const Graph& g, int k = 1,
+                               std::span<const char> excluded = {})
+      : g_(g), k_(k), excluded_(excluded) {}
+
+  Path sample(NodeId src, NodeId dst, Rng& rng) {
+    if (src == dst) return {src};
+    Row& row = row_for(dst);
+    grow(row, src);
+    return walk(src, dst, row.dist, rng);
+  }
+
+  void set_link_dead(LinkId link, bool dead) {
+    if (dead) {
+      dead_.insert(link);
+    } else {
+      dead_.erase(link);
+    }
+    rows_.clear();
+    oldest_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kMaxCached = 64;
+  struct Row {
+    NodeId dst = 0;
+    std::int32_t depth = 0;
+    bool complete = false;
+    std::vector<std::int32_t> dist;
+  };
+
+  bool masked(NodeId n) const {
+    return !excluded_.empty() && excluded_[static_cast<std::size_t>(n)] != 0;
+  }
+
+  Row& row_for(NodeId dst) {
+    for (Row& row : rows_) {
+      if (row.dst == dst) return row;
+    }
+    Row* row = nullptr;
+    if (rows_.size() < kMaxCached) {
+      row = &rows_.emplace_back();
+      row->dist.assign(static_cast<std::size_t>(g_.num_switches()), -1);
+    } else {
+      row = &rows_[oldest_];
+      oldest_ = (oldest_ + 1) % kMaxCached;
+      std::fill(row->dist.begin(), row->dist.end(), -1);
+    }
+    row->dst = dst;
+    row->depth = 0;
+    row->complete = false;
+    row->dist[static_cast<std::size_t>(dst)] = 0;
+    return *row;
+  }
+
+  bool covers(const Row& row, NodeId src) const {
+    return row.complete || (row.dist[static_cast<std::size_t>(src)] >= 0 &&
+                            row.depth >= k_ - 1);
+  }
+
+  void grow(Row& row, NodeId src) {
+    if (covers(row, src)) return;
+    std::vector<NodeId> frontier, next;
+    if (row.depth == 0) {
+      frontier.push_back(row.dst);
+    } else {
+      for (NodeId n = 0; n < g_.num_switches(); ++n) {
+        if (row.dist[static_cast<std::size_t>(n)] == row.depth && !masked(n))
+          frontier.push_back(n);
+      }
+    }
+    do {
+      next.clear();
+      for (NodeId n : frontier) {
+        for (const Port& p : g_.neighbors(n)) {
+          if (dead_.contains(p.link)) continue;
+          auto& dn = row.dist[static_cast<std::size_t>(p.neighbor)];
+          if (dn < 0) {
+            dn = row.depth + 1;
+            if (!masked(p.neighbor)) next.push_back(p.neighbor);
+          }
+        }
+      }
+      ++row.depth;
+      row.complete = next.empty();
+      frontier.swap(next);
+    } while (!covers(row, src));
+  }
+
+  Path walk(NodeId src, NodeId dst, const std::vector<std::int32_t>& dist,
+            Rng& rng) const {
+    if (dist[static_cast<std::size_t>(src)] < 0) return {};
+    Path path{src};
+    NodeId cur = src;
+    int vrf = k_;
+    std::vector<std::pair<NodeId, int>> cand;
+    while (cur != dst) {
+      const int d = dist[static_cast<std::size_t>(cur)];
+      const bool far = d >= 2 * k_;
+      const int h = far ? d : vrf_distance(g_, dead_, dist, k_, dst, cur, vrf);
+      cand.clear();
+      for (const Port& p : g_.neighbors(cur)) {
+        if ((h == d && dist[static_cast<std::size_t>(p.neighbor)] != d - 1) ||
+            dead_.contains(p.link) || (p.neighbor != dst && masked(p.neighbor)))
+          continue;
+        if (far) {
+          cand.emplace_back(p.neighbor, vrf == k_ ? 1 : vrf + 1);
+          if (vrf == 1 && k_ > 1) cand.emplace_back(p.neighbor, 1);
+          continue;
+        }
+        for_each_virtual_edge(vrf, k_, [&](int next_vrf, int cost) {
+          if (cost + vrf_distance(g_, dead_, dist, k_, dst, p.neighbor,
+                                  next_vrf) == h)
+            cand.emplace_back(p.neighbor, next_vrf);
+        });
+      }
+      std::tie(cur, vrf) = cand[rng.uniform(cand.size())];
+      path.push_back(cur);
+    }
+    return path;
+  }
+
+  const Graph& g_;
+  int k_;
+  std::span<const char> excluded_;
+  LinkSet dead_;
+  std::vector<Row> rows_;
+  std::size_t oldest_ = 0;
+};
 
 }  // namespace spineless::routing
