@@ -14,10 +14,12 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "flowsim/fluid_network.h"
+#include "flowsim/maxmin.h"
+#include "flowsim/resource_layout.h"
 #include "routing/bfs_sampler.h"
 #include "topo/builders.h"
 #include "topo/expand.h"
+#include "util/error.h"
 #include "util/table.h"
 #include "workload/cs_model.h"
 #include "util/rng.h"
@@ -34,14 +36,18 @@ double mean_rate(const Graph& g,
                  const std::vector<std::pair<HostId, HostId>>& pairs,
                  std::uint64_t seed) {
   routing::BfsSampler sampler(g, 2);
-  flowsim::FluidNetwork net(g, 10e9);
+  const flowsim::ResourceLayout layout(g);
+  flowsim::MaxMinProblem problem(layout.capacities(10e9, 10e9));
   Rng rng(seed);
+  std::vector<int> ids;
   for (const auto& [a, b] : pairs) {
-    net.add_flow(a, b, sampler.sample(g.tor_of_host(a), g.tor_of_host(b),
-                                      rng));
+    ids.push_back(problem.add_flow(layout.flow(
+        a, b, sampler.sample(g.tor_of_host(a), g.tor_of_host(b), rng))));
   }
-  const auto rates = net.solve();
-  return flowsim::FluidNetwork::mean(rates);
+  const auto rates = problem.solve(ids);
+  SPINELESS_CHECK(!rates.empty());
+  return std::accumulate(rates.begin(), rates.end(), 0.0) /
+         static_cast<double>(rates.size());
 }
 
 int run(int argc, char** argv) {

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <string>
 
 #include "ctrl/bgp.h"
@@ -87,8 +88,10 @@ void BM_MaxMinWaterFill(benchmark::State& state) {
       route.push_back(static_cast<int>(rng.uniform(resources)));
     problem.add_flow(std::move(route));
   }
+  std::vector<int> ids(static_cast<std::size_t>(problem.num_flows()));
+  std::iota(ids.begin(), ids.end(), 0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(problem.solve());
+    benchmark::DoNotOptimize(problem.solve(ids));
   }
 }
 BENCHMARK(BM_MaxMinWaterFill)->Arg(1000)->Arg(5000);

@@ -12,8 +12,8 @@
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "flowsim/flow_level_sim.h"
-#include "flowsim/fluid_network.h"
 #include "flowsim/maxmin.h"
+#include "flowsim/resource_layout.h"
 #include "routing/bfs_sampler.h"
 #include "sim/boundary.h"
 #include "sim/sharded_engine.h"
@@ -33,6 +33,11 @@ constexpr std::uint64_t kRepathSalt = 0x72657061ULL;        // "repa"
 // whole-network fault state (per-flow routes/stalls, link states, outage
 // and re-pin logs) in PR 8.
 constexpr std::uint32_t kHybridSectionVersion = 2;
+// Re-solve the max-min problem only when an active boundary cap moved by
+// more than this relative tolerance (or the active set changed).
+constexpr double kCapTolerance = 0.05;
+// Boundary cap = headroom x measured departure rate of the last window.
+constexpr double kCapHeadroom = 2.0;
 
 enum class FlowKind : std::uint8_t { kInternal, kBoundary, kExternal };
 
@@ -139,8 +144,8 @@ struct FluidFlowState {
   Time start = 0;
   int boundary = -1;                // index into sources_/sinks_
 
-  // Dynamic (HYBR section, version 2):
-  std::vector<int> resources;       // CURRENT fluid route (re-paths move it)
+  // Dynamic (HYBR section, version 2; the current fluid route, which
+  // re-paths move, is this flow's route in HybridLoop::problem_):
   double remaining = 0;
   double rate = 0;
   double cap = kInf;
@@ -182,12 +187,15 @@ struct FluidEvent {
 
 class HybridLoop : public sim::Checkpointable {
  public:
-  HybridLoop(const HybridConfig& cfg, std::vector<double> capacities)
-      : cfg_(cfg), capacities_(std::move(capacities)) {}
+  // One max-min problem for the whole run: flow i of the problem is fluid
+  // flow i, and fault events edit its routes and capacities in place.
+  HybridLoop(const topo::RegionCut& cut, std::vector<double> capacities)
+      : cut_(&cut), problem_(std::move(capacities)) {}
 
-  void add_fluid_flow(FluidFlowState s) {
+  void add_fluid_flow(FluidFlowState s, std::vector<int> route) {
     s.remaining = static_cast<double>(s.bytes);
     fluid_.push_back(std::move(s));
+    problem_.add_flow(std::move(route));
   }
   void add_boundary(std::unique_ptr<sim::BoundarySource> src,
                     std::unique_ptr<sim::BoundarySink> sink) {
@@ -203,8 +211,7 @@ class HybridLoop : public sim::Checkpointable {
   // degradation vs after the last routed-in/out settles. Call before the
   // engine runs (and before any restore — the HYBR v2 payload assumes the
   // fault block exists iff this was called).
-  void attach_faults(const topo::Graph& g, const topo::RegionCut& cut,
-                     const topo::RegionGraph& rg,
+  void attach_faults(const topo::Graph& g, const topo::RegionGraph& rg,
                      const flowsim::ResourceLayout& rs,
                      const std::vector<workload::FlowSpec>& specs,
                      std::vector<FluidEvent> events, std::uint64_t seed,
@@ -212,7 +219,6 @@ class HybridLoop : public sim::Checkpointable {
                      Time last_topo) {
     fault_active_ = true;
     full_ = &g;
-    cut_ = &cut;
     rg_ = &rg;
     rs_ = &rs;
     specs_ = &specs;
@@ -223,7 +229,7 @@ class HybridLoop : public sim::Checkpointable {
     last_topo_ = last_topo;
     // Re-paths avoid the hot set (its traffic is the packet half's) and
     // every routed-out link.
-    bfs_ = std::make_unique<routing::BfsSampler>(g, 1, cut.in_region);
+    bfs_ = std::make_unique<routing::BfsSampler>(g, 1, cut_->in_region);
     link_state_of_.assign(static_cast<std::size_t>(g.num_links()), -1);
     // One FluidLinkState per distinct faulted link, in first-event order —
     // a pure function of the plan, so the save/load layout is static.
@@ -265,7 +271,7 @@ class HybridLoop : public sim::Checkpointable {
         // the last solve, any move beyond the tolerance re-solves; if it
         // was not, the measured-rate jitter in the cap is irrelevant until
         // the cap undercuts the rate the flow already holds.
-        const double tol = cfg_.cap_tolerance;
+        const double tol = kCapTolerance;
         const bool was_bound = !std::isinf(f.cap_at_solve) &&
                                f.rate >= f.cap_at_solve * (1.0 - tol);
         if (was_bound) {
@@ -280,7 +286,7 @@ class HybridLoop : public sim::Checkpointable {
     }
     if (num_active > 0) {
       if (sig != active_sig_ || caps_moved || force_solve_) {
-        solve(num_active);
+        solve();
         active_sig_ = sig;
       } else {
         ++solves_skipped_;
@@ -344,7 +350,7 @@ class HybridLoop : public sim::Checkpointable {
         // A paused flow measures nothing; keep its pre-fault cap so the
         // first post-repair solve starts from real history instead of
         // crawling back up from one MSS per window.
-        if (!excluded(f)) f.cap = std::max(cfg_.cap_headroom * measured, floor_rate);
+        if (!excluded(f)) f.cap = std::max(kCapHeadroom * measured, floor_rate);
         if (sinks_[bi]->completed()) {
           f.finish = sinks_[bi]->finish();
           f.done = true;
@@ -424,7 +430,8 @@ class HybridLoop : public sim::Checkpointable {
     io.f64(self.peak_pre_);
     io.f64(self.peak_post_);
     io.expect(self.fluid_.size(), "hybrid snapshot fluid flow count mismatch");
-    for (auto& f : self.fluid_) {
+    for (std::size_t i = 0; i < self.fluid_.size(); ++i) {
+      auto& f = self.fluid_[i];
       io.f64(f.remaining);
       io.f64(f.rate);
       io.f64(f.cap);
@@ -437,10 +444,10 @@ class HybridLoop : public sim::Checkpointable {
       io.u64(f.generation);
       io.i64(f.stall_since);
       io.f64(f.stalled_s);
-      io.i64(f.entry_cut);
-      io.i64(f.exit_cut);
+      self.cut_field(io, f.entry_cut);
+      self.cut_field(io, f.exit_cut);
       // The current fluid route: re-paths move it off the classification.
-      io.seq(f.resources, [](auto& io, auto& res) { io.i64(res); });
+      self.route_field(io, static_cast<int>(i));
     }
     for (auto& src : self.sources_) io.part(*src);
     for (auto& sink : self.sinks_) io.part(*sink);
@@ -479,48 +486,54 @@ class HybridLoop : public sim::Checkpointable {
     });
   }
 
-  // The problem holds only the resources active flows cross, renumbered
-  // in id order. Filling treats resources independently and visits them in
-  // id order either way, so the rates are bit-identical to a solve over
-  // the whole capacity vector, without allocating several O(resources)
-  // arrays per window (~10 MB at 20k switches).
-  void solve(std::size_t num_active) {
-    ++solves_;
-    if (dense_of_.empty()) dense_of_.assign(capacities_.size(), -1);
-    for (const FluidFlowState& f : fluid_) {
-      if (!f.active || excluded(f)) continue;
-      for (int r : f.resources) dense_of_[static_cast<std::size_t>(r)] = 0;
+  // A gateway cut index: -1 (a real region host) or a cut link. Snapshot
+  // bytes are untrusted, so a restore refuses any other value before
+  // cut_dark or a re-pin indexes the cut with it.
+  template <class Io, class Cut>
+  void cut_field(Io& io, Cut& c) const {
+    std::int64_t v = c;
+    io.i64(v);
+    if constexpr (!Io::kSaving) {
+      if (v < -1 || v >= static_cast<std::int64_t>(cut_->cut.size()))
+        io.fail("gateway cut index " + std::to_string(v) + " outside [-1, " +
+                std::to_string(cut_->cut.size()) + ")");
+      c = static_cast<std::int32_t>(v);
     }
-    std::vector<int> touched;
-    std::vector<double> dense_caps;
-    for (std::size_t r = 0; r < dense_of_.size(); ++r) {
-      if (dense_of_[r] < 0) continue;
-      dense_of_[r] = static_cast<int>(touched.size());
-      touched.push_back(static_cast<int>(r));
-      dense_caps.push_back(capacities_[r]);
+  }
+  // Fluid flow i's route, with every resource id range-checked on restore.
+  void route_field(sim::SnapshotWriter& io, int i) const {
+    io.seq(problem_.route(i), [](auto& io, int r) { io.i64(r); });
+  }
+  void route_field(sim::SnapshotReader& io, int i) {
+    std::vector<std::int64_t> stored;
+    io.seq(stored, [](auto& io, auto& r) { io.i64(r); });
+    std::vector<int> resources;
+    resources.reserve(stored.size());
+    for (const std::int64_t r : stored) {
+      if (r < 0 || r >= problem_.num_resources())
+        io.fail("route resource " + std::to_string(r) + " outside [0, " +
+                std::to_string(problem_.num_resources()) + ")");
+      resources.push_back(static_cast<int>(r));
     }
+    problem_.set_route(i, std::move(resources));
+  }
 
-    flowsim::MaxMinProblem problem(std::move(dense_caps));
+  // One solve over the active, non-excluded fluid flows, capped at their
+  // measured boundary rates.
+  void solve() {
+    ++solves_;
+    std::vector<int> ids;
     std::vector<double> caps;
-    caps.reserve(num_active);
-    std::vector<std::size_t> added;
-    added.reserve(num_active);
     for (std::size_t i = 0; i < fluid_.size(); ++i) {
       FluidFlowState& f = fluid_[i];
       if (!f.active || excluded(f)) continue;
-      std::vector<int> route;
-      route.reserve(f.resources.size());
-      for (int r : f.resources)
-        route.push_back(dense_of_[static_cast<std::size_t>(r)]);
-      problem.add_flow(std::move(route));
+      ids.push_back(static_cast<int>(i));
       caps.push_back(f.kind == FlowKind::kBoundary ? f.cap : kInf);
-      added.push_back(i);
       f.cap_at_solve = f.cap;
     }
-    for (int r : touched) dense_of_[static_cast<std::size_t>(r)] = -1;
-    const std::vector<double> rates = problem.solve_capped(caps);
-    for (std::size_t k = 0; k < added.size(); ++k)
-      fluid_[added[k]].rate = rates[k];
+    const std::vector<double> rates = problem_.solve(ids, caps);
+    for (std::size_t k = 0; k < ids.size(); ++k)
+      fluid_[static_cast<std::size_t>(ids[k])].rate = rates[k];
   }
 
   // --- Fluid/boundary fault machinery (inert unless attach_faults ran) ---
@@ -557,8 +570,8 @@ class HybridLoop : public sim::Checkpointable {
   void apply_capacity(const FluidLinkState& s) {
     const double cap = (s.down ? 0.0 : base_link_rate_) * s.degrade_factor *
                        s.gray_factor;
-    capacities_[static_cast<std::size_t>(rs_->link(s.link, true))] = cap;
-    capacities_[static_cast<std::size_t>(rs_->link(s.link, false))] = cap;
+    problem_.set_capacity(rs_->link(s.link, true), cap);
+    problem_.set_capacity(rs_->link(s.link, false), cap);
   }
 
   void stall(FluidFlowState& f, Time at) {
@@ -613,7 +626,7 @@ class HybridLoop : public sim::Checkpointable {
       stall(f, at);
       return;
     }
-    f.resources = std::move(res);
+    problem_.set_route(static_cast<int>(i), std::move(res));
     unstall(f, at);
   }
 
@@ -689,7 +702,7 @@ class HybridLoop : public sim::Checkpointable {
     for (std::size_t i = 0; i < fluid_.size(); ++i) {
       FluidFlowState& f = fluid_[i];
       if (f.done) continue;
-      for (int res : f.resources) {
+      for (int res : problem_.route(static_cast<int>(i))) {
         if (res == r0 || res == r1) {
           repath_flow(i, e.at);
           break;
@@ -792,11 +805,8 @@ class HybridLoop : public sim::Checkpointable {
     if (changed) force_solve_ = true;
   }
 
-  const HybridConfig& cfg_;
-  std::vector<double> capacities_;
-  // solve() scratch: each resource's index in the compact problem, -1
-  // between solves. Sized once so windows do not reallocate it.
-  std::vector<int> dense_of_;
+  const topo::RegionCut* cut_;
+  flowsim::MaxMinProblem problem_;
   std::vector<FluidFlowState> fluid_;
   std::vector<std::unique_ptr<sim::BoundarySource>> sources_;
   std::vector<std::unique_ptr<sim::BoundarySink>> sinks_;
@@ -808,7 +818,6 @@ class HybridLoop : public sim::Checkpointable {
   // Fault machinery (attach_faults; all inert otherwise).
   bool fault_active_ = false;
   const topo::Graph* full_ = nullptr;
-  const topo::RegionCut* cut_ = nullptr;
   const topo::RegionGraph* rg_ = nullptr;
   const flowsim::ResourceLayout* rs_ = nullptr;
   const std::vector<workload::FlowSpec>* specs_ = nullptr;
@@ -843,8 +852,10 @@ std::uint64_t hybrid_config_hash(const topo::Graph& g,
       .mix(static_cast<std::uint64_t>(cfg.region_mode))
       .mix(static_cast<std::uint64_t>(cfg.auto_region_switches))
       .mix(static_cast<std::uint64_t>(cfg.window));
-  mix_double(h, cfg.cap_tolerance);
-  mix_double(h, cfg.cap_headroom);
+  // The retired cap knobs' values, so config hashes (and the snapshots
+  // keyed by them) stay compatible.
+  mix_double(h, kCapTolerance);
+  mix_double(h, kCapHeadroom);
   h.mix(cfg.region_switches.size());
   for (topo::NodeId n : cfg.region_switches)
     h.mix(static_cast<std::uint64_t>(n));
@@ -1042,12 +1053,12 @@ HybridResult run_hybrid_experiment_flows(
   // flows in spec order, then boundary sources in spec order) ---
   sim::Network net(rg.graph, cfg.fct.net);
   sim::FlowDriver driver(net, cfg.fct.tcp);
-  HybridLoop loop(cfg, std::move(capacities));
+  HybridLoop loop(cut, std::move(capacities));
   std::unique_ptr<fault::FaultInjector> injector;
 
   const Time deadline = run_deadline(cfg.fct);
   if (faults) {
-    loop.attach_faults(g, cut, rg, rs, specs, std::move(fluid_events),
+    loop.attach_faults(g, rg, rs, specs, std::move(fluid_events),
                        cfg.fct.seed, static_cast<double>(link_rate),
                        first_fault, last_topo);
   }
@@ -1083,7 +1094,6 @@ HybridResult run_hybrid_experiment_flows(
       FluidFlowState state;
       state.spec = i;
       state.kind = plans[i].kind;
-      state.resources = plans[i].resources;
       state.bytes = f.bytes;
       state.start = f.start;
       state.entry_cut = plans[i].entry_cut;
@@ -1106,7 +1116,7 @@ HybridResult run_hybrid_experiment_flows(
         ++result.external_flows;
       }
       fluid_id[i] = static_cast<std::int32_t>(loop.fluid().size());
-      loop.add_fluid_flow(std::move(state));
+      loop.add_fluid_flow(std::move(state), std::move(plans[i].resources));
     }
     if (faults) {
       // After every flow, so flow oids match fault-free builds; armed
@@ -1199,42 +1209,7 @@ HybridResult run_hybrid_experiment_flows(
     JsonWriter jw;
     jw.begin_object();
     jw.key("packet");
-    jw.begin_object();
-    {
-      const fault::FaultInjector::Report pr = injector->report(deadline);
-      jw.kv("blackhole_seconds", pr.blackhole_seconds);
-      jw.kv("undetected_gray_windows", pr.undetected_gray_windows);
-      jw.key("outages");
-      jw.begin_array();
-      for (const fault::FaultInjector::Outage& o : pr.outages) {
-        jw.begin_object();
-        jw.kv("link", static_cast<std::int64_t>(
-                          region_link_to_full[static_cast<std::size_t>(
-                              o.link)]));
-        jw.kv("t_down", static_cast<std::int64_t>(o.t_down));
-        jw.kv("t_detected", static_cast<std::int64_t>(o.t_detected));
-        jw.kv("t_routed_out", static_cast<std::int64_t>(o.t_routed_out));
-        jw.kv("t_restored", static_cast<std::int64_t>(o.t_restored));
-        jw.kv("t_up_detected", static_cast<std::int64_t>(o.t_up_detected));
-        jw.kv("t_routed_in", static_cast<std::int64_t>(o.t_routed_in));
-        jw.end_object();
-      }
-      jw.end_array();
-      jw.key("gray_windows");
-      jw.begin_array();
-      for (const fault::FaultInjector::GrayWindow& gw : pr.gray_windows) {
-        jw.begin_object();
-        jw.kv("link", static_cast<std::int64_t>(
-                          region_link_to_full[static_cast<std::size_t>(
-                              gw.link)]));
-        jw.kv("from", static_cast<std::int64_t>(gw.from));
-        jw.kv("until", static_cast<std::int64_t>(gw.until));
-        jw.kv("detected", gw.detected);
-        jw.end_object();
-      }
-      jw.end_array();
-    }
-    jw.end_object();
+    injector->write_report(jw, deadline, region_link_to_full);
     jw.key("fluid");
     jw.begin_object();
     jw.kv("blackhole_seconds", totals.blackhole_seconds);

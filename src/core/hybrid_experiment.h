@@ -47,11 +47,6 @@ struct HybridConfig {
   int auto_region_switches = 8;               // kAuto hot-set size
 
   Time window = 200 * units::kMicrosecond;  // co-simulation window
-  // Re-solve the max-min problem only when an active boundary cap moved by
-  // more than this relative tolerance (or the active set changed).
-  double cap_tolerance = 0.05;
-  // Boundary cap = headroom x measured departure rate of the last window.
-  double cap_headroom = 2.0;
 
   // Whole-network fault schedule (FaultPlan grammar over FULL-graph link
   // ids; empty = no faults, and every fault field below is inert so

@@ -20,8 +20,8 @@
 #include "ctrl/bgp.h"
 #include "ctrl/config_gen.h"
 #include "ctrl/ospf.h"
-#include "flowsim/fluid_network.h"
 #include "flowsim/maxmin.h"
+#include "flowsim/resource_layout.h"
 #include "routing/disjoint.h"
 #include "routing/ksp.h"
 #include "routing/paths.h"

@@ -1,6 +1,9 @@
 #include "core/throughput_experiment.h"
 
-#include "flowsim/fluid_network.h"
+#include <numeric>
+
+#include "flowsim/maxmin.h"
+#include "flowsim/resource_layout.h"
 #include "routing/bfs_sampler.h"
 #include "sim/tcp.h"
 #include "util/error.h"
@@ -16,18 +19,22 @@ ThroughputResult run_cs_throughput(const topo::Graph& g, int c, int s,
   const auto pairs = workload::cs_flow_pairs(sets, cfg.max_pairs, rng);
 
   routing::BfsSampler sampler(g, sim::shortest_union_k(cfg.mode, cfg.su_k));
-  flowsim::FluidNetwork net(g, cfg.link_rate_bps);
+  const flowsim::ResourceLayout layout(g);
+  flowsim::MaxMinProblem problem(
+      layout.capacities(cfg.link_rate_bps, cfg.link_rate_bps));
+  std::vector<int> ids;
   for (const auto& [src, dst] : pairs) {
     const auto path =
         sampler.sample(g.tor_of_host(src), g.tor_of_host(dst), rng);
-    net.add_flow(src, dst, path);
+    ids.push_back(problem.add_flow(layout.flow(src, dst, path)));
   }
-  const auto rates = net.solve();
+  const auto rates = problem.solve(ids);
+  SPINELESS_CHECK(!rates.empty());
 
   ThroughputResult r;
   r.flows = rates.size();
-  r.total_bps = flowsim::FluidNetwork::total(rates);
-  r.mean_bps = flowsim::FluidNetwork::mean(rates);
+  r.total_bps = std::accumulate(rates.begin(), rates.end(), 0.0);
+  r.mean_bps = r.total_bps / static_cast<double>(rates.size());
   return r;
 }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/json.h"
-
 namespace spineless::fault {
 
 // Hello transmitter for one directed link. Lives in the transmitting
@@ -327,9 +325,13 @@ FaultInjector::Report FaultInjector::report(Time end) const {
   return r;
 }
 
-std::string FaultInjector::report_json(Time end) const {
+void FaultInjector::write_report(JsonWriter& w, Time end,
+                                 std::span<const topo::LinkId> link_ids) const {
+  const auto link_id = [&](topo::LinkId l) {
+    return static_cast<std::int64_t>(
+        link_ids.empty() ? l : link_ids[static_cast<std::size_t>(l)]);
+  };
   const Report r = report(end);
-  JsonWriter w;
   w.begin_object();
   w.kv("blackhole_seconds", r.blackhole_seconds);
   w.kv("undetected_gray_windows", r.undetected_gray_windows);
@@ -337,7 +339,7 @@ std::string FaultInjector::report_json(Time end) const {
   w.begin_array();
   for (const Outage& o : r.outages) {
     w.begin_object();
-    w.kv("link", static_cast<std::int64_t>(o.link));
+    w.kv("link", link_id(o.link));
     w.kv("t_down", static_cast<std::int64_t>(o.t_down));
     w.kv("t_detected", static_cast<std::int64_t>(o.t_detected));
     w.kv("t_routed_out", static_cast<std::int64_t>(o.t_routed_out));
@@ -351,7 +353,7 @@ std::string FaultInjector::report_json(Time end) const {
   w.begin_array();
   for (const GrayWindow& g : r.gray_windows) {
     w.begin_object();
-    w.kv("link", static_cast<std::int64_t>(g.link));
+    w.kv("link", link_id(g.link));
     w.kv("from", static_cast<std::int64_t>(g.from));
     w.kv("until", static_cast<std::int64_t>(g.until));
     w.kv("detected", g.detected);
@@ -359,7 +361,6 @@ std::string FaultInjector::report_json(Time end) const {
   }
   w.end_array();
   w.end_object();
-  return w.str();
 }
 
 }  // namespace spineless::fault

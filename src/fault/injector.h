@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "sim/checkpoint.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "util/json.h"
 
 namespace spineless::fault {
 
@@ -117,9 +119,13 @@ class FaultInjector : public sim::EventSink,
   };
   // `end`: horizon for still-open windows (normally the run deadline).
   Report report(Time end) const;
-  // The report as JSON — contains no wall-clock times, so serial and
-  // sharded runs of the same plan produce byte-identical strings.
-  std::string report_json(Time end) const;
+  // Writes the report as one JSON object into `w` — it contains no
+  // wall-clock times, so serial and sharded runs of the same plan write
+  // byte-identical text. A non-empty `link_ids` maps every link id this
+  // injector saw to the id written (a region network's links back to the
+  // full graph's).
+  void write_report(JsonWriter& w, Time end,
+                    std::span<const topo::LinkId> link_ids = {}) const;
 
   const FaultInjectorConfig& config() const noexcept { return cfg_; }
   Time hold_time() const noexcept {

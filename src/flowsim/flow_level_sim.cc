@@ -10,14 +10,14 @@ namespace spineless::flowsim {
 
 FlowLevelSimulator::FlowLevelSimulator(const Graph& g, double link_rate_bps)
     : layout_(g),
-      capacities_(layout_.capacities(link_rate_bps, link_rate_bps)) {
+      problem_(layout_.capacities(link_rate_bps, link_rate_bps)) {
   SPINELESS_CHECK(link_rate_bps > 0);
 }
 
 int FlowLevelSimulator::add_flow(HostId src, HostId dst, std::int64_t bytes,
                                  Time start, const Path& path) {
   SPINELESS_CHECK(src != dst && bytes > 0 && start >= 0);
-  routes_.push_back(layout_.flow(src, dst, path));  // validates eagerly
+  problem_.add_flow(layout_.flow(src, dst, path));  // validates eagerly
   FlowResult r;
   r.src = src;
   r.dst = dst;
@@ -36,6 +36,7 @@ std::size_t FlowLevelSimulator::run(Time deadline) {
   });
 
   std::vector<ActiveFlow> active;
+  std::vector<int> ids;  // active's problem_ ids, in active order
   std::size_t next_arrival = 0;
   Time now = 0;
   std::size_t completed = 0;
@@ -83,9 +84,9 @@ std::size_t FlowLevelSimulator::run(Time deadline) {
         }
       }
     }
-    MaxMinProblem problem(capacities_);
-    for (const ActiveFlow& f : active) problem.add_flow(routes_[f.id]);
-    const std::vector<double> rates = problem.solve();
+    ids.clear();
+    for (const ActiveFlow& f : active) ids.push_back(static_cast<int>(f.id));
+    const std::vector<double> rates = problem_.solve(ids);
     for (std::size_t i = 0; i < active.size(); ++i) active[i].rate = rates[i];
   }
   return completed;

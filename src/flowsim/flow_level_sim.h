@@ -1,12 +1,13 @@
 // Event-driven flow-level simulation: flows arrive, share the fabric at
-// max-min fair rates, and depart when their bytes drain. At every arrival
-// and departure the rates are re-solved by MaxMinProblem::solve over the
-// active flows' routes in the shared ResourceLayout (fluid_network.h) —
-// the standard fluid FCT model, on the same solver and layout as
-// FluidNetwork and the hybrid engine's fluid half. Orders of magnitude
-// faster than the packet simulator at the cost of abstracting away queues,
-// RTTs, and loss — tests/flowsim cross-validate it against packet-level
-// TCP on shared-bottleneck scenarios.
+// max-min fair rates, and depart when their bytes drain. Every flow's route
+// (in the shared ResourceLayout, resource_layout.h) lives in one persistent
+// MaxMinProblem; at every arrival and departure the rates are re-solved
+// over the active flows' ids only — the standard fluid FCT model, on the
+// same solver and layout as the C-S throughput heatmaps and the hybrid
+// engine's fluid half. Orders of magnitude faster than the packet simulator
+// at the cost of abstracting away queues, RTTs, and loss — tests/flowsim
+// cross-validate it against packet-level TCP on shared-bottleneck
+// scenarios.
 //
 // Use it for quick what-if sweeps; use sim/ for anything where transport
 // dynamics matter (tails, incast, DCTCP).
@@ -15,7 +16,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "flowsim/fluid_network.h"
+#include "flowsim/maxmin.h"
+#include "flowsim/resource_layout.h"
 #include "routing/types.h"
 #include "topo/graph.h"
 #include "util/stats.h"
@@ -53,15 +55,14 @@ class FlowLevelSimulator {
 
  private:
   struct ActiveFlow {
-    std::size_t id;  // index into results_ / routes_
+    std::size_t id;  // index into results_, and the flow's problem_ id
     double remaining_bytes = 0;
     double rate = 0;
   };
 
   ResourceLayout layout_;
-  std::vector<double> capacities_;  // layout_ order, all at the link rate
+  MaxMinProblem problem_;  // every link at the link rate
   std::vector<FlowResult> results_;
-  std::vector<std::vector<int>> routes_;  // per flow, layout_ resource ids
 };
 
 }  // namespace spineless::flowsim

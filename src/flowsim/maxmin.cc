@@ -3,134 +3,173 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "util/error.h"
 
 namespace spineless::flowsim {
 
+namespace {
+
+void check_capacity(int r, double capacity) {
+  // NaN fails every comparison, so `>= 0` alone would admit it and the
+  // filling loop would silently never saturate the resource.
+  SPINELESS_CHECK_MSG(capacity >= 0 && !std::isnan(capacity),
+                      "MaxMinProblem: capacity[" << r << "] = " << capacity
+                          << " — capacities must be >= 0 and not NaN");
+}
+
+void check_route(const std::vector<int>& resources, int num_resources) {
+  for (int r : resources)
+    SPINELESS_CHECK_MSG(r >= 0 && r < num_resources,
+                        "MaxMinProblem: route resource "
+                            << r << " outside [0, " << num_resources << ")");
+}
+
+}  // namespace
+
 MaxMinProblem::MaxMinProblem(std::vector<double> capacities)
-    : capacity_(std::move(capacities)) {
-  for (std::size_t r = 0; r < capacity_.size(); ++r) {
-    // NaN fails every comparison, so `>= 0` alone would admit it and the
-    // filling loop would silently never saturate the resource.
-    SPINELESS_CHECK_MSG(capacity_[r] >= 0 && !std::isnan(capacity_[r]),
-                        "MaxMinProblem: capacity[" << r << "] = "
-                            << capacity_[r]
-                            << " — capacities must be >= 0 and not NaN");
-  }
+    : capacity_(std::move(capacities)), index_(capacity_.size(), -1) {
+  for (int r = 0; r < num_resources(); ++r)
+    check_capacity(r, capacity_[static_cast<std::size_t>(r)]);
 }
 
 int MaxMinProblem::add_flow(std::vector<int> resources) {
-  for (int r : resources)
-    SPINELESS_CHECK_MSG(r >= 0 && r < num_resources(),
-                        "add_flow: resource " << r << " outside [0, "
-                                              << num_resources() << ")");
+  check_route(resources, num_resources());
   flows_.push_back(std::move(resources));
-  return static_cast<int>(flows_.size()) - 1;
+  return num_flows() - 1;
 }
 
-std::vector<double> MaxMinProblem::solve() const { return solve_capped({}); }
+void MaxMinProblem::set_route(int f, std::vector<int> resources) {
+  SPINELESS_CHECK_MSG(f >= 0 && f < num_flows(),
+                      "set_route: flow " << f << " outside [0, "
+                                         << num_flows() << ")");
+  check_route(resources, num_resources());
+  flows_[static_cast<std::size_t>(f)] = std::move(resources);
+}
 
-std::vector<double> MaxMinProblem::solve_capped(
-    const std::vector<double>& caps) const {
-  const std::size_t nf = flows_.size();
-  const std::size_t nr = capacity_.size();
+void MaxMinProblem::set_capacity(int r, double capacity) {
+  SPINELESS_CHECK_MSG(r >= 0 && r < num_resources(),
+                      "set_capacity: resource " << r << " outside [0, "
+                                                << num_resources() << ")");
+  check_capacity(r, capacity);
+  capacity_[static_cast<std::size_t>(r)] = capacity;
+}
+
+std::vector<double> MaxMinProblem::solve(std::span<const int> ids,
+                                         std::span<const double> caps) {
+  const std::size_t nf = ids.size();
   const bool capped = !caps.empty();
-  if (capped) {
-    SPINELESS_CHECK_MSG(caps.size() == nf,
-                        "solve_capped: " << caps.size() << " caps for " << nf
-                                         << " flows — pass one cap per flow "
-                                            "or an empty vector for no caps");
-    for (std::size_t f = 0; f < nf; ++f) {
-      // A negative cap would make `caps[f] - rate[f]` negative and stall
-      // the filling; NaN poisons every min(). +infinity means uncapped.
-      SPINELESS_CHECK_MSG(caps[f] >= 0 && !std::isnan(caps[f]),
-                          "solve_capped: caps[" << f << "] = " << caps[f]
-                              << " — caps must be >= 0 and not NaN");
+  SPINELESS_CHECK_MSG(!capped || caps.size() == nf,
+                      "solve: " << caps.size() << " caps for " << nf
+                                << " flows — pass one cap per flow or none");
+  for (std::size_t k = 0; k < nf; ++k) {
+    SPINELESS_CHECK_MSG(ids[k] >= 0 && ids[k] < num_flows(),
+                        "solve: flow " << ids[k] << " outside [0, "
+                                       << num_flows() << ")");
+    // A negative cap would make `caps[k] - rate[k]` negative and stall
+    // the filling; NaN poisons every min(). +infinity means uncapped.
+    SPINELESS_CHECK_MSG(!capped || (caps[k] >= 0 && !std::isnan(caps[k])),
+                        "solve: caps[" << k << "] = " << caps[k]
+                                       << " — caps must be >= 0 and not NaN");
+  }
+
+  // Compact the resources the listed flows cross, in first-crossing
+  // order, and re-express each route in those indices (hops[begin[k] ..
+  // begin[k + 1]) is ids[k]'s route). Every array below is O(crossed).
+  std::vector<int> touched;
+  std::vector<std::size_t> begin(nf + 1, 0);
+  std::vector<int> hops;
+  for (std::size_t k = 0; k < nf; ++k) {
+    begin[k] = hops.size();
+    for (int r : flows_[static_cast<std::size_t>(ids[k])]) {
+      int& c = index_[static_cast<std::size_t>(r)];
+      if (c < 0) {
+        c = static_cast<int>(touched.size());
+        touched.push_back(r);
+      }
+      hops.push_back(c);
     }
   }
+  begin[nf] = hops.size();
+  for (int r : touched) index_[static_cast<std::size_t>(r)] = -1;
+
+  const std::size_t nr = touched.size();
+  std::vector<double> capacity(nr);
+  for (std::size_t c = 0; c < nr; ++c)
+    capacity[c] = capacity_[static_cast<std::size_t>(touched[c])];
   std::vector<double> rate(nf, 0.0);
-  std::vector<double> remaining = capacity_;
+  std::vector<double> remaining = capacity;
   // Active consumption count per resource.
   std::vector<double> load(nr, 0.0);
   std::vector<char> active(nf, 0);
   std::size_t num_active = 0;
-  for (std::size_t f = 0; f < nf; ++f) {
-    if (flows_[f].empty()) continue;  // unconstrained: leave at rate 0
-    active[f] = 1;
+  for (std::size_t k = 0; k < nf; ++k) {
+    if (begin[k] == begin[k + 1]) continue;  // unconstrained: rate 0
+    active[k] = 1;
     ++num_active;
-    for (int r : flows_[f]) load[static_cast<std::size_t>(r)] += 1.0;
+    for (std::size_t h = begin[k]; h < begin[k + 1]; ++h)
+      load[static_cast<std::size_t>(hops[h])] += 1.0;
   }
-  // Compact list of resources any flow crosses: every scan below walks this
-  // list instead of the full capacity array, so sparse problems on huge
-  // networks (the hybrid windowed solve) cost O(touched) per filling round.
-  std::vector<int> touched;
-  for (std::size_t r = 0; r < nr; ++r) {
-    if (load[r] > 0.0) touched.push_back(static_cast<int>(r));
-  }
+  // The resources some active flow still loads; every scan below walks
+  // this list, which shrinks as the filling proceeds.
+  std::vector<int> loaded(nr);
+  std::iota(loaded.begin(), loaded.end(), 0);
 
   constexpr double kEps = 1e-12;
-  // Allocated once; only touched entries are ever set, and they are cleared
-  // again before the next round (an O(nr) refill per round would undo the
-  // compact-iteration win).
   std::vector<char> saturated(nr, 0);
   while (num_active > 0) {
-    // Drop resources whose last crossing flow froze — keeps the scans
-    // shrinking as the filling proceeds.
-    std::erase_if(touched,
-                  [&](int r) { return load[static_cast<std::size_t>(r)] <= kEps; });
+    // Drop resources whose last crossing flow froze.
+    std::erase_if(loaded, [&](int c) {
+      return load[static_cast<std::size_t>(c)] <= kEps;
+    });
 
     // Bottleneck increment: the smallest per-flow headroom across loaded
     // resources, further limited by the nearest active flow cap.
     double inc = std::numeric_limits<double>::infinity();
-    for (int r : touched) {
-      const auto ri = static_cast<std::size_t>(r);
-      inc = std::min(inc, remaining[ri] / load[ri]);
+    for (int c : loaded) {
+      const auto ci = static_cast<std::size_t>(c);
+      inc = std::min(inc, remaining[ci] / load[ci]);
     }
     if (capped) {
-      for (std::size_t f = 0; f < nf; ++f) {
-        if (active[f]) inc = std::min(inc, caps[f] - rate[f]);
+      for (std::size_t k = 0; k < nf; ++k) {
+        if (active[k]) inc = std::min(inc, caps[k] - rate[k]);
       }
     }
     SPINELESS_CHECK(std::isfinite(inc));
     inc = std::max(inc, 0.0);
 
-    for (int r : touched) {
-      const auto ri = static_cast<std::size_t>(r);
-      remaining[ri] -= inc * load[ri];
+    for (int c : loaded) {
+      const auto ci = static_cast<std::size_t>(c);
+      remaining[ci] -= inc * load[ci];
     }
 
     // Freeze every active flow crossing a saturated resource or pinned at
     // its cap. (Tolerance is relative to the original capacity scale.)
-    for (int r : touched) {
-      const auto ri = static_cast<std::size_t>(r);
-      if (remaining[ri] <= 1e-9 * std::max(1.0, capacity_[ri]))
-        saturated[ri] = 1;
+    for (int c : loaded) {
+      const auto ci = static_cast<std::size_t>(c);
+      if (remaining[ci] <= 1e-9 * std::max(1.0, capacity[ci]))
+        saturated[ci] = 1;
     }
     bool any_frozen = false;
-    for (std::size_t f = 0; f < nf; ++f) {
-      if (!active[f]) continue;
-      rate[f] += inc;
+    for (std::size_t k = 0; k < nf; ++k) {
+      if (!active[k]) continue;
+      rate[k] += inc;
       bool freeze =
-          capped && rate[f] >= caps[f] - 1e-9 * std::max(1.0, caps[f]);
-      if (!freeze) {
-        for (int r : flows_[f]) {
-          if (saturated[static_cast<std::size_t>(r)]) {
-            freeze = true;
-            break;
-          }
-        }
-      }
+          capped && rate[k] >= caps[k] - 1e-9 * std::max(1.0, caps[k]);
+      for (std::size_t h = begin[k]; !freeze && h < begin[k + 1]; ++h)
+        freeze = saturated[static_cast<std::size_t>(hops[h])] != 0;
       if (freeze) {
-        active[f] = 0;
+        active[k] = 0;
         --num_active;
         any_frozen = true;
-        for (int r : flows_[f]) load[static_cast<std::size_t>(r)] -= 1.0;
+        for (std::size_t h = begin[k]; h < begin[k + 1]; ++h)
+          load[static_cast<std::size_t>(hops[h])] -= 1.0;
       }
     }
     SPINELESS_CHECK_MSG(any_frozen || num_active == 0,
                         "water-filling made no progress");
-    for (int r : touched) saturated[static_cast<std::size_t>(r)] = 0;
+    for (int c : loaded) saturated[static_cast<std::size_t>(c)] = 0;
   }
   return rate;
 }

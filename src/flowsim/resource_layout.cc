@@ -1,7 +1,6 @@
-#include "flowsim/fluid_network.h"
+#include "flowsim/resource_layout.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/error.h"
 
@@ -38,24 +37,6 @@ std::vector<int> ResourceLayout::flow(HostId src, HostId dst,
   append_hops(path, resources);
   resources.push_back(host_down(dst));
   return resources;
-}
-
-FluidNetwork::FluidNetwork(const Graph& g, double link_rate_bps)
-    : layout_(g),
-      problem_(layout_.capacities(link_rate_bps, link_rate_bps)) {}
-
-int FluidNetwork::add_flow(HostId src, HostId dst, const Path& path) {
-  SPINELESS_CHECK(src != dst);
-  return problem_.add_flow(layout_.flow(src, dst, path));
-}
-
-double FluidNetwork::total(const std::vector<double>& rates) {
-  return std::accumulate(rates.begin(), rates.end(), 0.0);
-}
-
-double FluidNetwork::mean(const std::vector<double>& rates) {
-  SPINELESS_CHECK(!rates.empty());
-  return total(rates) / static_cast<double>(rates.size());
 }
 
 }  // namespace spineless::flowsim

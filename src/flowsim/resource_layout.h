@@ -1,14 +1,13 @@
 // Maps a data-center topology onto a MaxMinProblem: host NICs (uplink and
-// downlink) and each direction of every switch-switch link are resources of
-// the configured line rate. Flows follow explicit switch-level paths, the
-// way a hashed ECMP/Shortest-Union flow does.
+// downlink) and each direction of every switch-switch link are resources.
+// Flows follow explicit switch-level paths, the way a hashed
+// ECMP/Shortest-Union flow does.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "flowsim/maxmin.h"
 #include "routing/types.h"
 #include "topo/graph.h"
 
@@ -19,8 +18,9 @@ using topo::Graph;
 using topo::HostId;
 using topo::NodeId;
 
-// The one fluid resource layout, shared by FluidNetwork, FlowLevelSimulator
-// and the hybrid engine's fluid half: for H hosts and L links,
+// The one fluid resource layout, shared by every MaxMinProblem user (the
+// C-S throughput heatmaps, FlowLevelSimulator, the hybrid engine's fluid
+// half): for H hosts and L links,
 //   host uplink h | host downlink H + h | directed link 2H + 2l + dir,
 // where dir is 0 for the link's a->b direction and 1 for b->a.
 class ResourceLayout {
@@ -55,28 +55,6 @@ class ResourceLayout {
  private:
   const Graph* graph_;
   int num_hosts_;
-};
-
-class FluidNetwork {
- public:
-  FluidNetwork(const Graph& g, double link_rate_bps);
-
-  // Adds a long-running flow from host src to host dst along `path`
-  // (ResourceLayout::flow's contract). Returns the flow id.
-  int add_flow(HostId src, HostId dst, const Path& path);
-
-  int num_flows() const { return problem_.num_flows(); }
-
-  // Max-min fair rate per flow, bits/sec.
-  std::vector<double> solve() const { return problem_.solve(); }
-
-  // Aggregate and mean throughput helpers.
-  static double total(const std::vector<double>& rates);
-  static double mean(const std::vector<double>& rates);
-
- private:
-  ResourceLayout layout_;
-  MaxMinProblem problem_;
 };
 
 }  // namespace spineless::flowsim

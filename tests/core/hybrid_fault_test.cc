@@ -117,6 +117,10 @@ TEST(HybridFault, UnifiedReportSpansBothHalves) {
       std::string::npos)
       << r.fault_report;
   EXPECT_GT(extract_i64(r.fault_report, "blackhole_seconds"), -999);
+  // The whole document, byte for byte.
+  EXPECT_EQ(r.fault_report.size(), 619u);
+  EXPECT_EQ(sim::fnv1a(r.fault_report), 0x8081c70e3da6cc3aULL)
+      << r.fault_report;
 }
 
 TEST(HybridFault, ReportAndHashByteIdenticalAcrossIntraJobs) {

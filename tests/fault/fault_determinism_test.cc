@@ -98,7 +98,9 @@ RunPrint run_fault_scenario(int intra, int reactor_threads = 0) {
     out.flows.push_back(
         FlowPrint{rec.start, rec.finish, rec.retransmits, rec.timeouts});
   }
-  out.injector_json = inj.report_json(kDeadline);
+  JsonWriter report;
+  inj.write_report(report, kDeadline);
+  out.injector_json = report.str();
   out.monitor_json = mon.to_json();
   return out;
 }

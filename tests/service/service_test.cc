@@ -5,6 +5,7 @@
 // Process-level SIGTERM / kill -9 coverage lives in
 // scripts/service_drain_smoke.sh (ctest: service_drain_smoke).
 #include <atomic>
+#include <bit>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
@@ -17,6 +18,7 @@
 #include "service/jsonin.h"
 #include "service/request.h"
 #include "service/warm_state.h"
+#include "sim/snapshot.h"
 #include "util/error.h"
 #include "util/fsio.h"
 
@@ -188,6 +190,33 @@ TEST(WarmState, CancelHookSegmentsWithoutChangingTheAnswer) {
   const WhatIfResult canceled =
       warm.whatif_fault_packet(spec, 0, [] { return true; });
   EXPECT_FALSE(canceled.finished);
+}
+
+// Pins the fluid-fidelity answers bit for bit: a fail, a flap, a plan that
+// cuts every link of switch 0 (so its flows have no surviving path), and
+// two fluid traffic-matrix what-ifs. The hash chains every answer field
+// the fluid path fills.
+TEST(WarmState, FluidAnswersArePinned) {
+  const WarmState& warm = shared_warm();
+  sim::HashChain h;
+  const auto mix = [&h](const WhatIfResult& r) {
+    h.mix(r.flows).mix(r.completed).mix(r.stalled);
+    for (const double v : {r.p50_ms, r.p99_ms, r.delta_p50_ms, r.delta_p99_ms})
+      h.mix(std::bit_cast<std::uint64_t>(v));
+  };
+  std::string isolate;
+  for (topo::LinkId l = 0; l < warm.graph().num_links(); ++l) {
+    if (warm.graph().link(l).a == 0 || warm.graph().link(l).b == 0)
+      isolate += "fail link=" + std::to_string(l) + " at=1ms;";
+  }
+  const WhatIfResult stalled = warm.whatif_fault_fluid(isolate, 0);
+  EXPECT_GT(stalled.stalled, 0u);
+  mix(stalled);
+  mix(warm.whatif_fault_fluid("fail link=3 at=1ms", 0));
+  mix(warm.whatif_fault_fluid("flap link=5 down=1ms up=3ms", 2));
+  mix(warm.whatif_tm("permutation", 1.0, 3, Fidelity::kFluid, nullptr));
+  mix(warm.whatif_tm("uniform", 1.5, 0, Fidelity::kFluid, nullptr));
+  EXPECT_EQ(h.value(), 15687334404040895631u);
 }
 
 TEST(WarmState, FaultInsideWarmPrefixIsRejected) {

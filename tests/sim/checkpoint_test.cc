@@ -323,7 +323,9 @@ FaultPrint run_fault_cell(int intra, int interrupt_at,
   out.gray_drops = stats.gray_drops;
   out.corrupt_drops = stats.corrupt_drops;
   out.delivered_bytes = stats.delivered_bytes;
-  out.injector_json = inj.report_json(kFaultDeadline);
+  JsonWriter report;
+  inj.write_report(report, kFaultDeadline);
+  out.injector_json = report.str();
   out.monitor_json = mon.to_json();
   for (std::size_t i = 0; i < driver.num_flows(); ++i)
     out.flow_finish.push_back(

@@ -375,5 +375,48 @@ TEST(SnapshotCorruption, HugeHybridResourceCountIsRefused) {
   util::remove_file(path);
 }
 
+// Route resource ids and gateway cut indices are used as array indices
+// after a restore; out-of-range values must be refused on load. Flow 0's
+// route ids follow its route length (previous test's offset), and its
+// entry and exit cut indices sit 16 and 8 bytes before that length.
+constexpr std::size_t kHybridFlow0Cuts = 64 + 75;
+constexpr std::size_t kHybridFlow0Route = 64 + 91;
+
+TEST(SnapshotCorruption, OutOfRangeHybridRouteResourceIsRefused) {
+  const HybridCell cell;
+  const std::string path = tmp_path("hybrid_corrupt_route");
+  util::remove_file(path);
+  const std::string clean = cell.bytes_at(path, 40, false);
+  const std::size_t hybr = find_section(clean, kSectionHybrid).first;
+  ASSERT_GT(get_le(clean, hybr + kHybridFlow0Route, 8), 0u);
+  for (const std::uint64_t id :
+       {std::uint64_t{(1u << 31) - 1}, ~std::uint64_t{0}}) {
+    SCOPED_TRACE(id);
+    std::string bytes = clean;
+    patch_u64_at(&bytes, kSectionHybrid, kHybridFlow0Route + 8, id);
+    ASSERT_TRUE(util::atomic_write_file(path, bytes));
+    expect_refused([&] { cell.bytes_at(path, 1, true); }, "HYBR");
+  }
+  util::remove_file(path);
+}
+
+TEST(SnapshotCorruption, OutOfRangeHybridCutIndexIsRefused) {
+  const HybridCell cell;
+  const std::string path = tmp_path("hybrid_corrupt_cut");
+  util::remove_file(path);
+  const std::string clean = cell.bytes_at(path, 40, false);
+  for (const std::size_t field : {kHybridFlow0Cuts, kHybridFlow0Cuts + 8}) {
+    for (const std::uint64_t c :
+         {std::uint64_t{1} << 20, static_cast<std::uint64_t>(-2)}) {
+      SCOPED_TRACE(std::to_string(field) + " <- " + std::to_string(c));
+      std::string bytes = clean;
+      patch_u64_at(&bytes, kSectionHybrid, field, c);
+      ASSERT_TRUE(util::atomic_write_file(path, bytes));
+      expect_refused([&] { cell.bytes_at(path, 1, true); }, "HYBR");
+    }
+  }
+  util::remove_file(path);
+}
+
 }  // namespace
 }  // namespace spineless::sim

@@ -6,7 +6,8 @@
 
 #include <algorithm>
 
-#include "flowsim/fluid_network.h"
+#include "flowsim/maxmin.h"
+#include "flowsim/resource_layout.h"
 #include "routing/paths.h"
 #include "sim/tcp.h"
 #include "topo/analysis.h"
@@ -120,9 +121,10 @@ TEST(FluidVsPacket, AgreeOnSharedBottleneck) {
   g.set_servers(0, 4);
   g.set_servers(1, 4);
 
-  flowsim::FluidNetwork fluid(g, 10e9);
-  for (int i = 0; i < 4; ++i) fluid.add_flow(i, 4 + i, {0, 1});
-  const auto rates = fluid.solve();
+  const flowsim::ResourceLayout layout(g);
+  flowsim::MaxMinProblem fluid(layout.capacities(10e9, 10e9));
+  for (int i = 0; i < 4; ++i) fluid.add_flow(layout.flow(i, 4 + i, {0, 1}));
+  const auto rates = fluid.solve(std::vector<int>{0, 1, 2, 3});
   for (double r : rates) EXPECT_NEAR(r, 2.5e9, 1);
 
   NetworkConfig cfg;
@@ -158,10 +160,11 @@ TEST(FluidVsPacket, AgreeOnAsymmetricShares) {
   g.set_servers(1, 1);
   g.set_servers(2, 2);
   // hosts: 0,1 on tor0; 2 on tor1; 3,4 on tor2.
-  flowsim::FluidNetwork fluid(g, 10e9);
-  fluid.add_flow(0, 3, {0, 1, 2});  // crosses both links
-  fluid.add_flow(2, 4, {1, 2});     // only second link
-  const auto rates = fluid.solve();
+  const flowsim::ResourceLayout layout(g);
+  flowsim::MaxMinProblem fluid(layout.capacities(10e9, 10e9));
+  fluid.add_flow(layout.flow(0, 3, {0, 1, 2}));  // crosses both links
+  fluid.add_flow(layout.flow(2, 4, {1, 2}));     // only second link
+  const auto rates = fluid.solve(std::vector<int>{0, 1});
   EXPECT_NEAR(rates[0], 5e9, 1);
   EXPECT_NEAR(rates[1], 5e9, 1);
 
