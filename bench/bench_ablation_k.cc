@@ -28,7 +28,7 @@ int run(int argc, char** argv) {
   const topo::Graph& g = dring.graph;
   const int k_max = static_cast<int>(flags.get_int("k_max", 4));
 
-  core::Runner runner(bench::outer_jobs(flags));
+  util::Runner runner(bench::outer_jobs(flags));
   bench::BenchJson json("ablation_k", flags);
 
   // Structural census over all ToR pairs, one parallel cell per K.

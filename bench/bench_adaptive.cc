@@ -47,7 +47,7 @@ int run(int argc, char** argv) {
   std::vector<sim::RoutingMode> chosen;
   for (const auto& c : tms) chosen.push_back(core::choose_routing(g, c.tm));
 
-  core::Runner runner(bench::outer_jobs(flags));
+  util::Runner runner(bench::outer_jobs(flags));
   const auto results =
       bench::sweep(runner, tms.size() * 3, [&](std::size_t idx) {
         const auto& c = tms[idx / 3];

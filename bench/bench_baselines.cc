@@ -175,7 +175,7 @@ int run(int argc, char** argv) {
       {"VLB", "source routing"},
   };
 
-  core::Runner runner(bench::jobs_from(flags));
+  util::Runner runner(bench::jobs_from(flags));
   const auto results = bench::sweep(
       runner, tms.size() * schemes.size(), [&](std::size_t idx) {
         const std::size_t ti = idx / schemes.size();

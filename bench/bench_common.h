@@ -7,7 +7,7 @@
 //    configuration (leaf-spine(48,16), 3072 servers, 12-supernode DRing).
 //
 // Every bench also supports --jobs=N (default: SPINELESS_JOBS or hardware
-// concurrency): independent cells fan out over a core::Runner, and output
+// concurrency): independent cells fan out over a util::Runner, and output
 // is byte-identical for every N because cells derive their randomness from
 // their index and results are collected in index order. Each bench writes
 // a machine-readable BENCH_<name>.json next to the working directory
@@ -35,13 +35,13 @@
 
 #include "core/fct_experiment.h"
 #include "core/hybrid_experiment.h"
-#include "core/runner.h"
 #include "core/scenario.h"
 #include "util/error.h"
 #include "util/flags.h"
 #include "util/fsio.h"
 #include "util/json.h"
 #include "util/resilient.h"
+#include "util/runner.h"
 #include "util/sweep_journal.h"
 
 namespace spineless::bench {
@@ -93,7 +93,7 @@ inline core::Scenario scenario_from(const Flags& flags) {
 }
 
 inline int jobs_from(const Flags& flags) {
-  const auto jobs = flags.get_int("jobs", core::default_jobs());
+  const auto jobs = flags.get_int("jobs", util::default_jobs());
   return jobs < 1 ? 1 : static_cast<int>(jobs);
 }
 
@@ -145,10 +145,10 @@ struct Timed {
 };
 
 // Fans fn(0..n-1) over the runner, wall-timing each cell. Results come
-// back in index order regardless of jobs (see core::Runner's determinism
+// back in index order regardless of jobs (see util::Runner's determinism
 // contract), so drivers print them exactly as a serial loop would have.
 template <typename Fn>
-auto sweep(core::Runner& runner, std::size_t n, Fn&& fn)
+auto sweep(util::Runner& runner, std::size_t n, Fn&& fn)
     -> std::vector<Timed<std::invoke_result_t<Fn&, std::size_t>>> {
   using R = std::invoke_result_t<Fn&, std::size_t>;
   return runner.map(n, [&fn](std::size_t i) {
@@ -676,7 +676,7 @@ class ResumableSweep {
 // return a fully-populated Cell except wall_s/attempts/status, which this
 // wrapper owns. Results come back in index order.
 template <typename Fn>
-std::vector<Cell> run_resumable(core::Runner& runner, std::size_t n,
+std::vector<Cell> run_resumable(util::Runner& runner, std::size_t n,
                                 ResumableSweep& sweep, Fn&& fn) {
   // Snapshot the journal hits before the parallel map: get() is not safe
   // against a concurrent record(), but std::map nodes stay put, so the

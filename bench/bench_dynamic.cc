@@ -130,7 +130,7 @@ int run(int argc, char** argv) {
     for (std::size_t si = 0; si < families[fi].slots.size(); ++si)
       for (const bool burst : {false, true}) cells.push_back({fi, si, burst});
 
-  core::Runner runner(bench::jobs_from(flags));
+  util::Runner runner(bench::jobs_from(flags));
   const auto results =
       bench::sweep(runner, cells.size(), [&](std::size_t idx) {
         const CellId& c = cells[idx];

@@ -38,7 +38,7 @@ int run(int argc, char** argv) {
   const double base_load =
       workload::spine_offered_load_bps(s.x, s.y, 10e9, 0.3);
 
-  core::Runner runner(bench::outer_jobs(flags));
+  util::Runner runner(bench::outer_jobs(flags));
   bench::BenchJson json("failures", flags);
 
   // Each failure fraction is one independent cell: the random link sample,

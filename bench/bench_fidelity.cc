@@ -42,7 +42,7 @@ int run(int argc, char** argv) {
 
   // (TM, engine) grid; even idx = packet TCP, odd = fluid. The per-cell
   // wall clock from the sweep is the number the speedup column reports.
-  core::Runner runner(bench::outer_jobs(flags));
+  util::Runner runner(bench::outer_jobs(flags));
   const auto results =
       bench::sweep(runner, tms.size() * 2, [&](std::size_t idx) {
         const auto& c = tms[idx / 2];

@@ -124,7 +124,7 @@ int run(int argc, char** argv) {
   const std::size_t ncfg = configs.size();
   const auto nseeds = static_cast<std::size_t>(seeds);
   const std::size_t ncells = tms.size() * ncfg * nseeds;
-  core::Runner runner(bench::outer_jobs(flags));
+  util::Runner runner(bench::outer_jobs(flags));
   const auto results =
       bench::sweep(runner, ncells, [&](std::size_t idx) {
         const std::size_t ti = idx / (ncfg * nseeds);

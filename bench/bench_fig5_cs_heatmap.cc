@@ -87,7 +87,7 @@ int run(int argc, char** argv) {
   // All four panels' (C, S) cells are independent — one flat sweep.
   const auto nsteps = static_cast<std::size_t>(steps);
   const std::size_t per_panel = nsteps * nsteps;
-  core::Runner runner(bench::jobs_from(flags));
+  util::Runner runner(bench::jobs_from(flags));
   const auto results = bench::sweep(
       runner, panels.size() * per_panel, [&](std::size_t idx) {
         const PanelSpec& p = panels[idx / per_panel];

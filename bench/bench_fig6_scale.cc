@@ -54,7 +54,7 @@ int run_rng_tier(const Flags& flags) {
       tors_per_supernode, servers_per_tor, net_degree, hot_flows, bg_flows,
       static_cast<long long>(bytes), jobs, intra_jobs);
 
-  core::Runner runner(bench::outer_jobs(flags));
+  util::Runner runner(bench::outer_jobs(flags));
   const std::string config_sig =
       "rng n=" + std::to_string(tors_per_supernode) +
       " servers=" + std::to_string(servers_per_tor) +
@@ -174,7 +174,7 @@ int run(int argc, char** argv) {
   // policy; with --resume, finished cells come from the sweep journal and
   // in-flight ones restart from their last periodic checkpoint.
   const auto n_m = static_cast<std::size_t>(m_hi - m_lo + 1);
-  core::Runner runner(bench::outer_jobs(flags));
+  util::Runner runner(bench::outer_jobs(flags));
   const std::string config_sig =
       "n=" + std::to_string(tors_per_supernode) +
       " servers=" + std::to_string(servers_per_tor) +

@@ -131,7 +131,7 @@ int run_faults(const Flags& flags) {
       tors_per_supernode, m * tors_per_supernode, m_big * tors_per_supernode,
       hot_flows, bg_flows);
 
-  core::Runner runner(bench::outer_jobs(flags));
+  util::Runner runner(bench::outer_jobs(flags));
   const std::string config_sig =
       "hybrid_faults m=" + std::to_string(m) +
       " m_big=" + std::to_string(m_big) + " n=" +
@@ -271,7 +271,7 @@ int run(int argc, char** argv) {
       m, tors_per_supernode, m * tors_per_supernode, hot_flows, bg_flows);
 
   const std::size_t n_cells = utils.size() + scale_intra.size();
-  core::Runner runner(bench::outer_jobs(flags));
+  util::Runner runner(bench::outer_jobs(flags));
   const std::string config_sig =
       "hybrid m=" + std::to_string(m) + " hot=" + std::to_string(hot_flows) +
       " bg=" + std::to_string(bg_flows) + " bytes=" + std::to_string(bytes) +

@@ -45,7 +45,7 @@ int run(int argc, char** argv) {
     topo::CostReport cost;
   };
   topo::CostModel model;
-  core::Runner runner(bench::jobs_from(flags));
+  util::Runner runner(bench::jobs_from(flags));
   const auto results =
       bench::sweep(runner, graphs.size(), [&](std::size_t i) {
         const topo::Graph& g = *graphs[i];

@@ -73,7 +73,7 @@ int run(int argc, char** argv) {
   }
 
   // One cell per (candidate, TM); even cells are uniform, odd are skewed.
-  core::Runner runner(bench::outer_jobs(flags));
+  util::Runner runner(bench::outer_jobs(flags));
   const auto results =
       bench::sweep(runner, candidates.size() * 2, [&](std::size_t idx) {
         const topo::Graph& g = candidates[idx / 2].graph;

@@ -43,7 +43,7 @@ int run(int argc, char** argv) {
     tms.push_back({"CS skewed (incast-y)", workload::cs_rack_tm(g, sets)});
   }
 
-  core::Runner runner(bench::outer_jobs(flags));
+  util::Runner runner(bench::outer_jobs(flags));
   bench::BenchJson json("transport", flags);
 
   // FCT grid: (TM, transport) cells; even idx = NewReno, odd = DCTCP.

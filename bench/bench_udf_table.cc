@@ -24,7 +24,7 @@ int run(int argc, char** argv) {
   bench::print_header("Section 3.1: NSR / UDF analysis", s, flags);
 
   // One analytic cell; the sweep still gives per-cell wall time + JSON.
-  core::Runner runner(bench::jobs_from(flags));
+  util::Runner runner(bench::jobs_from(flags));
   const auto cells = bench::sweep(
       runner, 1, [&](std::size_t) { return core::make_udf_report(s); });
   const core::UdfReport& rep = cells[0].value;

@@ -88,7 +88,7 @@ int run(int argc, char** argv) {
   cases.push_back({"leaf-spine", s.leaf_spine(), 0});
 
   // One verification cell per topology; each builds its own BGP mesh.
-  core::Runner runner(bench::jobs_from(flags));
+  util::Runner runner(bench::jobs_from(flags));
   const auto results = bench::sweep(runner, cases.size(), [&](std::size_t i) {
     return verify(cases[i].graph, k, check_fib);
   });

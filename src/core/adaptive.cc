@@ -1,16 +1,24 @@
 #include "core/adaptive.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "topo/analysis.h"
 #include "util/error.h"
 
 namespace spineless::core {
+namespace {
+
+// Demand share of the top 10% of sender racks above which the policy
+// picks Shortest-Union whatever the path diversity.
+constexpr double kConcentrationThreshold = 0.3;
+constexpr std::int64_t kPathCountCap = 1024;
+
+}  // namespace
 
 double weighted_path_diversity(const topo::Graph& g,
-                               const workload::RackTm& tm,
-                               std::int64_t path_count_cap) {
+                               const workload::RackTm& tm) {
   double weight_sum = 0;
   double weighted = 0;
   for (topo::NodeId a = 0; a < g.num_switches(); ++a) {
@@ -18,7 +26,7 @@ double weighted_path_diversity(const topo::Graph& g,
       const double w = tm.at(a, b);
       if (w <= 0 || a == b) continue;
       const auto count = static_cast<double>(
-          topo::count_shortest_paths(g, a, b, path_count_cap));
+          topo::count_shortest_paths(g, a, b, kPathCountCap));
       weighted += w * count;
       weight_sum += w;
     }
@@ -49,11 +57,10 @@ double demand_concentration(const topo::Graph& g,
 sim::RoutingMode choose_routing(const topo::Graph& g,
                                 const workload::RackTm& tm,
                                 const AdaptiveConfig& cfg) {
-  const double diversity =
-      weighted_path_diversity(g, tm, cfg.path_count_cap);
+  const double diversity = weighted_path_diversity(g, tm);
   const double concentration = demand_concentration(g, tm);
   const bool needs_paths = diversity < cfg.diversity_threshold ||
-                           concentration > cfg.concentration_threshold;
+                           concentration > kConcentrationThreshold;
   return needs_paths ? sim::RoutingMode::kShortestUnion
                      : sim::RoutingMode::kEcmp;
 }

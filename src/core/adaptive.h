@@ -9,8 +9,6 @@
 // of the TM and switch to Shortest-Union when it is low.
 #pragma once
 
-#include <cstdint>
-
 #include "sim/network.h"
 #include "topo/graph.h"
 #include "workload/tm.h"
@@ -20,19 +18,16 @@ namespace spineless::core {
 struct AdaptiveConfig {
   int su_k = 2;
   // Switch to Shortest-Union when the demand-weighted mean shortest-path
-  // count across ToR pairs falls below this threshold...
+  // count across ToR pairs falls below this threshold, or when the top 10%
+  // of sender racks carry more than 30% of the demand (skewed bursts are
+  // where flat networks need the extra paths, §3/§6.1).
   double diversity_threshold = 8.0;
-  // ...or when the top 10% of sender racks carry more than this share of
-  // the demand (skewed bursts are where flat networks need the extra
-  // paths, §3/§6.1).
-  double concentration_threshold = 0.3;
-  std::int64_t path_count_cap = 1024;
 };
 
-// Demand-weighted mean number of shortest paths over the TM's rack pairs.
+// Demand-weighted mean number of shortest paths over the TM's rack pairs,
+// each pair's count capped at 1024.
 double weighted_path_diversity(const topo::Graph& g,
-                               const workload::RackTm& tm,
-                               std::int64_t path_count_cap = 1024);
+                               const workload::RackTm& tm);
 
 // Share of total demand emitted by the busiest ceil(10%) of sender racks —
 // 1.0 for single-rack bursts, ~0.1 for uniform traffic.

@@ -968,7 +968,7 @@ HybridResult run_hybrid_experiment_flows(
   Time first_fault = 0;
   Time last_topo = 0;
   if (faults) {
-    cfg.fault.validate(cfg.fct.net.link_delay);
+    cfg.fault.validate(sim::kLinkDelay);
     const fault::FaultPlan full_plan =
         fault::FaultPlan::parse(cfg.fault_spec, g, cfg.fct.seed);
     const Time hold =

@@ -41,6 +41,5 @@
 #include "topo/graph.h"
 #include "workload/cs_model.h"
 #include "workload/incast.h"
-#include "workload/io.h"
 #include "workload/flows.h"
 #include "workload/tm.h"

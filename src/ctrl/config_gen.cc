@@ -12,6 +12,9 @@ using topo::Graph;
 using topo::LinkId;
 using topo::NodeId;
 
+constexpr int kBaseAs = 64512;  // private AS range start; router i gets +i
+constexpr int kMaxPaths = 32;   // BGP multipath width
+
 // One eBGP session riding a physical link as a dot1q subinterface pair.
 struct Session {
   NodeId advertiser;
@@ -66,7 +69,7 @@ std::string router_config(const Graph& g, NodeId router,
                           const ConfigGenOptions& opts) {
   SPINELESS_CHECK(opts.k >= 1);
   SPINELESS_CHECK(router >= 0 && router < g.num_switches());
-  const int as = opts.base_as + static_cast<int>(router);
+  const int as = kBaseAs + static_cast<int>(router);
   std::ostringstream os;
   os << "hostname r" << router << "\n!\n";
 
@@ -122,7 +125,7 @@ std::string router_config(const Graph& g, NodeId router,
   os << "router bgp " << as << "\n bgp log-neighbor-changes\n";
   for (int j = 1; j <= opts.k; ++j) {
     os << " address-family ipv4 vrf " << vrf_name(j) << "\n  maximum-paths "
-       << opts.max_paths << "\n";
+       << kMaxPaths << "\n";
     if (j == opts.k && g.servers(router) > 0) {
       os << "  network " << rack_subnet(router) << " mask 255.255.255.0\n";
     }
@@ -134,7 +137,7 @@ std::string router_config(const Graph& g, NodeId router,
           // prepend route-map applies outbound.
           const std::string peer = p2p_ip(ports[p].link, sess.vlan, !low);
           os << "  neighbor " << peer << " remote-as "
-             << opts.base_as + static_cast<int>(sess.receiver)
+             << kBaseAs + static_cast<int>(sess.receiver)
              << "\n  neighbor " << peer << " activate\n";
           if (sess.prepend >= 2) {
             os << "  neighbor " << peer << " route-map PREPEND_"
@@ -143,7 +146,7 @@ std::string router_config(const Graph& g, NodeId router,
         } else if (sess.receiver == router && sess.recv_vrf == j) {
           const std::string peer = p2p_ip(ports[p].link, sess.vlan, !low);
           os << "  neighbor " << peer << " remote-as "
-             << opts.base_as + static_cast<int>(sess.advertiser)
+             << kBaseAs + static_cast<int>(sess.advertiser)
              << "\n  neighbor " << peer << " activate\n";
         }
       }

@@ -24,9 +24,7 @@
 namespace spineless::ctrl {
 
 struct ConfigGenOptions {
-  int k = 2;                   // VRF count = Shortest-Union K
-  int base_as = 64512;         // private AS range start; router i gets +i
-  int max_paths = 32;          // BGP multipath width
+  int k = 2;  // VRF count = Shortest-Union K
 };
 
 // Full configuration text for one router.

@@ -121,7 +121,7 @@ FaultInjector::FaultInjector(Network& net, const FaultPlan& plan,
 FaultInjector::~FaultInjector() { net_.set_hello_handler(nullptr); }
 
 void FaultInjector::arm(Simulator& sim, Time until) {
-  cfg_.validate(net_.config().link_delay);
+  cfg_.validate(sim::kLinkDelay);
   hello_until_ = until;
   arm_actions(sim);
   // Stagger hello start times evenly across one interval so the fabric is
@@ -138,7 +138,7 @@ void FaultInjector::arm(Simulator& sim, Time until) {
 }
 
 void FaultInjector::arm_actions(Simulator& sim) {
-  cfg_.validate(net_.config().link_delay);
+  cfg_.validate(sim::kLinkDelay);
   for (std::size_t i = 0; i < plan_.actions().size(); ++i) {
     SPINELESS_CHECK_MSG(plan_.actions()[i].at >= sim.now(),
                         "FaultInjector: plan action at t="

@@ -108,17 +108,4 @@ int greedy_disjoint_count(const PathSet& paths) {
   return count;
 }
 
-bool paths_valid(const Graph& g, NodeId src, NodeId dst,
-                 const PathSet& paths) {
-  for (const Path& p : paths) {
-    if (p.size() < 2 || p.front() != src || p.back() != dst) return false;
-    std::set<NodeId> seen(p.begin(), p.end());
-    if (seen.size() != p.size()) return false;  // not simple
-    for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-      if (!g.adjacent(p[i], p[i + 1])) return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace spineless::routing

@@ -28,8 +28,4 @@ PathSet shortest_union_paths(const Graph& g, NodeId src, NodeId dst, int k,
 // at least n+1 disjoint paths between any two DRing racks.
 int greedy_disjoint_count(const PathSet& paths);
 
-// True if every path starts at src, ends at dst, is simple, and uses only
-// existing links.
-bool paths_valid(const Graph& g, NodeId src, NodeId dst, const PathSet& paths);
-
 }  // namespace spineless::routing

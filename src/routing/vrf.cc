@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <set>
 
 #include "topo/analysis.h"
 #include "util/runner.h"
@@ -321,39 +320,6 @@ bool VrfTable::theorem1_holds(const Graph& g, NodeId src, NodeId dst) const {
   const int l = dist[static_cast<std::size_t>(dst)];
   if (l < 0) return false;
   return source_distance(src, dst) == std::max(l, k_);
-}
-
-PathSet VrfTable::project_paths(NodeId src, NodeId dst, std::size_t cap) const {
-  SPINELESS_CHECK(src != dst);
-  std::set<Path> dedup;
-  // DFS over tight virtual edges; costs are >= 1 so the tight-edge graph is
-  // a DAG and the walk terminates.
-  Path prefix{src};
-  auto walk = [&](auto&& self, NodeId node, int vrf) -> void {
-    if (dedup.size() >= cap) return;
-    if (node == dst && vrf == k_) {
-      dedup.insert(prefix);
-      return;
-    }
-    for (const VrfHop& hop : next_hops(node, vrf, dst)) {
-      // BGP loop prevention: every router is its own AS, so a route whose
-      // AS-path revisits a router is never admitted. Enumerate only simple
-      // physical paths (matters for K >= 3).
-      if (std::find(prefix.begin(), prefix.end(), hop.port.neighbor) !=
-          prefix.end())
-        continue;
-      prefix.push_back(hop.port.neighbor);
-      self(self, hop.port.neighbor, hop.next_vrf);
-      prefix.pop_back();
-    }
-  };
-  walk(walk, src, k_);
-  PathSet out(dedup.begin(), dedup.end());
-  std::sort(out.begin(), out.end(), [](const Path& a, const Path& b) {
-    if (a.size() != b.size()) return a.size() < b.size();
-    return a < b;
-  });
-  return out;
 }
 
 }  // namespace spineless::routing

@@ -135,11 +135,6 @@ class VrfTable {
   // physical hop distance.
   bool theorem1_holds(const Graph& g, NodeId src, NodeId dst) const;
 
-  // All physical paths realizable as minimum-cost VRF-graph paths from
-  // (VRF K, src) to (VRF K, dst), deduplicated and sorted — for equivalence
-  // testing against shortest_union_paths().
-  PathSet project_paths(NodeId src, NodeId dst, std::size_t cap = 4096) const;
-
  private:
   // Pass 1 for one destination: BFS, every state's distance into dist_,
   // and each state's tight-edge count into off_ (at index + 1).

@@ -28,11 +28,6 @@ struct Deadline {
 
   bool active() const { return expires_at_s > 0; }
   bool expired() const { return active() && wall_now_s() >= expires_at_s; }
-  // Seconds left; a large constant when no deadline is set.
-  double remaining_s() const {
-    if (!active()) return 1e18;
-    return expires_at_s - wall_now_s();
-  }
 };
 
 }  // namespace spineless::service

@@ -12,6 +12,9 @@
 namespace spineless::service {
 namespace {
 
+// FIFO-evicted result cache entries.
+constexpr std::size_t kCacheCapacity = 256;
+
 std::string hex_u64(std::uint64_t v) {
   static const char* kDigits = "0123456789abcdef";
   std::string s = "0x";
@@ -182,7 +185,7 @@ std::string Engine::process(Job& job, util::CellContext* ctx) {
     if (degraded) ++stats_.degraded;
     if (is_error) ++stats_.errors;
     if (cacheable && cache_.find(key) == cache_.end()) {
-      if (cache_fifo_.size() >= cfg_.cache_capacity && !cache_fifo_.empty()) {
+      if (cache_fifo_.size() >= kCacheCapacity && !cache_fifo_.empty()) {
         cache_.erase(cache_fifo_.front());
         cache_fifo_.pop_front();
       }

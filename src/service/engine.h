@@ -46,8 +46,7 @@ struct EngineConfig {
   int workers = 2;
   std::size_t queue_limit = 16;   // queued (not in-flight) requests
   std::size_t degrade_depth = 8;  // auto fidelity -> fluid beyond this depth
-  std::size_t cache_capacity = 256;  // FIFO-evicted result cache entries
-  double default_deadline_ms = 0;    // applied when a request carries none
+  double default_deadline_ms = 0;  // applied when a request carries none
   util::RetryPolicy retry;  // per-attempt watchdog/retry for workers
   std::string journal_path;  // "" = no admission journal
 };

@@ -26,10 +26,6 @@ class JsonValue {
   JsonValue() = default;
 
   Kind kind() const noexcept { return kind_; }
-  bool is_null() const noexcept { return kind_ == Kind::kNull; }
-  bool is_bool() const noexcept { return kind_ == Kind::kBool; }
-  bool is_number() const noexcept { return kind_ == Kind::kNumber; }
-  bool is_string() const noexcept { return kind_ == Kind::kString; }
   bool is_array() const noexcept { return kind_ == Kind::kArray; }
   bool is_object() const noexcept { return kind_ == Kind::kObject; }
 
@@ -40,7 +36,6 @@ class JsonValue {
   std::int64_t as_int() const;  // throws when not integral
   const std::string& as_string() const;
   const std::vector<JsonValue>& as_array() const;
-  const std::vector<std::pair<std::string, JsonValue>>& as_object() const;
 
   // Object member lookup (first match, linear — daemon objects are tiny).
   // Returns nullptr when absent or when this value is not an object.

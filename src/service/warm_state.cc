@@ -5,6 +5,7 @@
 
 #include "fault/degradation.h"
 #include "fault/fault_plan.h"
+#include "fault/injector.h"
 #include "flowsim/flow_level_sim.h"
 #include "routing/bfs_sampler.h"
 #include "sim/network.h"
@@ -46,10 +47,10 @@ struct PacketExperiment {
   PacketExperiment(const topo::Graph& g, const ServiceConfig& cfg,
                    fault::FaultPlan p, std::uint64_t config_hash)
       : net(g, cfg.net),
-        driver(net, cfg.tcp),
+        driver(net, sim::TcpConfig{}),
         plan(std::move(p)),
         mon(net, kMonInterval),
-        inj(net, plan, cfg.fault),
+        inj(net, plan, fault::FaultInjectorConfig{}),
         session(net, config_hash) {
     session.add(&driver);
     session.add(&mon);
@@ -120,17 +121,17 @@ std::unique_ptr<WarmState> WarmState::build(const ServiceConfig& cfg) {
   // persisted snapshot whose hash differs is silently rebuilt.
   core::FctConfig fct;
   fct.net = ws->cfg_.net;
-  fct.tcp = ws->cfg_.tcp;
   fct.flowgen = ws->cfg_.flowgen;
   fct.seed = ws->cfg_.scenario.seed;
+  const fault::FaultInjectorConfig fault;  // BFD/repair timing of requests
   sim::HashChain h;
   h.mix(core::fct_config_hash(ws->graph_, fct))
       .mix(sim::fnv1a(ws->cfg_.topology))
       .mix(static_cast<std::uint64_t>(ws->cfg_.warm_time))
       .mix(static_cast<std::uint64_t>(ws->cfg_.horizon))
-      .mix(static_cast<std::uint64_t>(ws->cfg_.fault.hello_interval))
-      .mix(static_cast<std::uint64_t>(ws->cfg_.fault.hold_count))
-      .mix(static_cast<std::uint64_t>(ws->cfg_.fault.repair_delay));
+      .mix(static_cast<std::uint64_t>(fault.hello_interval))
+      .mix(static_cast<std::uint64_t>(fault.hold_count))
+      .mix(static_cast<std::uint64_t>(fault.repair_delay));
   ws->warm_hash_ = h.value();
 
   ws->baseline_flows_ =

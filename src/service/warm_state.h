@@ -30,7 +30,6 @@
 
 #include "core/fct_experiment.h"
 #include "core/scenario.h"
-#include "fault/injector.h"
 #include "routing/vrf.h"
 #include "service/request.h"
 #include "topo/graph.h"
@@ -42,11 +41,9 @@ struct ServiceConfig {
   core::Scenario scenario = core::Scenario::small();
   std::string topology = "dring";  // dring | rrg | leafspine
 
-  sim::NetworkConfig net;            // mode defaults to kShortestUnion
-  sim::TcpConfig tcp;
-  workload::FlowGenConfig flowgen;   // window defaults to 1ms
-  fault::FaultInjectorConfig fault;  // BFD/repair timing for every request
-  double utilization = 0.3;          // derives offered load when bps == 0
+  sim::NetworkConfig net;           // mode defaults to kShortestUnion
+  workload::FlowGenConfig flowgen;  // window defaults to 1ms
+  double utilization = 0.3;         // derives offered load when bps == 0
 
   Time warm_time = 500 * units::kMicrosecond;  // warm checkpoint boundary
   Time horizon = 8 * units::kMillisecond;      // request sim deadline

@@ -97,7 +97,6 @@ class Link : public EventSink {
   // under the sharded engine, so the draws are byte-identical too.
   void set_gray(double drop_prob, double corrupt_prob, std::uint64_t seed);
   void clear_gray() noexcept { gray_.reset(); }
-  bool is_gray() const noexcept { return gray_ != nullptr; }
 
   // Port degradation: scales the serialization rate by `factor` in
   // (0, 1]; 1 restores the configured rate. Takes effect from the next

@@ -95,7 +95,7 @@ Network::Network(const Graph& g, const NetworkConfig& cfg)
   // allocs/releases then never cross shards; only delivered packets do.
   auto add_link = [&](std::vector<Link>& vec, std::int64_t rate, NodeId tx,
                       Device* peer) {
-    vec.emplace_back(rate, cfg_.link_delay, cfg_.queue_bytes, peer,
+    vec.emplace_back(rate, kLinkDelay, cfg_.queue_bytes, peer,
                      pools_[static_cast<std::size_t>(shard_of_switch(tx))].get(),
                      cfg_.ecn_threshold_bytes);
     vec.back().set_event_identity(next_oid(), EventSink::kShardLocal);
@@ -485,29 +485,6 @@ std::vector<std::int64_t> Network::queue_occupancy() const {
   occ.reserve(net_links_.size());
   for (const Link& l : net_links_) occ.push_back(l.queued_bytes());
   return occ;
-}
-
-std::vector<double> Network::link_utilization(Time elapsed) const {
-  SPINELESS_CHECK(elapsed > 0);
-  std::vector<double> util;
-  util.reserve(net_links_.size());
-  const double capacity_bytes = static_cast<double>(cfg_.link_rate_bps) / 8.0 *
-                                units::to_seconds(elapsed);
-  for (const Link& l : net_links_)
-    util.push_back(static_cast<double>(l.stats().bytes_tx) / capacity_bytes);
-  return util;
-}
-
-Network::UtilizationStats Network::utilization_stats(Time elapsed) const {
-  const auto util = link_utilization(elapsed);
-  UtilizationStats s;
-  if (util.empty()) return s;
-  Summary summary;
-  for (double u : util) summary.add(u);
-  s.mean = summary.mean();
-  s.max = summary.max();
-  s.p99 = summary.p99();
-  return s;
 }
 
 template <class Io, class Self>

@@ -48,12 +48,15 @@ inline int shortest_union_k(RoutingMode mode, int su_k) {
   return mode == RoutingMode::kEcmp ? 1 : su_k;
 }
 
+// Every link's propagation + processing delay; also the sharded engine's
+// conservative lookahead.
+inline constexpr Time kLinkDelay = 1 * units::kMicrosecond;
+
 struct NetworkConfig {
   std::int64_t link_rate_bps = units::gbps(10);
   // Host NIC rate; 0 means same as link_rate_bps. Lets experiments model
   // the heterogeneous line speeds §5.1 leaves to future work.
   std::int64_t host_rate_bps = 0;
-  Time link_delay = 1 * units::kMicrosecond;  // propagation + processing
   std::int64_t queue_bytes = 100 * kDataPacketBytes;  // shallow DC buffers
   RoutingMode mode = RoutingMode::kEcmp;
   int su_k = 2;  // K of Shortest-Union(K) in kShortestUnion mode
@@ -255,8 +258,9 @@ class Network {
   // the destination ToR once the packet got there.
   routing::Path traced_path(std::int32_t flow_id) const;
 
-  // Instantaneous queued bytes per directed switch-switch link (same
-  // indexing as link_utilization). Sampled by sim::QueueMonitor.
+  // Instantaneous queued bytes per directed switch-switch link (index
+  // 2l = a->b of topology link l, 2l+1 = b->a). Sampled by
+  // sim::QueueMonitor.
   std::vector<std::int64_t> queue_occupancy() const;
 
   // --- Checkpoint support (sim/checkpoint.h) ---
@@ -288,18 +292,6 @@ class Network {
     for (const Link& l : host_up_) fn(l);
     for (const Link& l : host_down_) fn(l);
   }
-
-  // Per-directed-link utilization over [0, elapsed]: bytes transmitted /
-  // (rate x elapsed). Index 2l = a->b of topology link l, 2l+1 = b->a.
-  // Useful for spotting hash imbalance and transit hot spots.
-  std::vector<double> link_utilization(Time elapsed) const;
-  // Summary of the above (max = the hottest directed link).
-  struct UtilizationStats {
-    double mean = 0;
-    double max = 0;
-    double p99 = 0;
-  };
-  UtilizationStats utilization_stats(Time elapsed) const;
 
  private:
   class SwitchDev;

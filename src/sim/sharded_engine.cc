@@ -60,11 +60,11 @@ ShardedEngine::ShardedEngine(Network& net)
       num_shards_(net.num_shards()),
       num_reactors_(
           resolve_reactors(net.config().reactor_threads, net.num_shards())),
-      lookahead_(net.config().link_delay),
+      lookahead_(kLinkDelay),
       slots_(static_cast<std::size_t>(net.num_shards())),
       reactor_stats_(static_cast<std::size_t>(num_reactors_)) {
-  SPINELESS_CHECK_MSG(lookahead_ > 0,
-                      "sharded engine needs a positive link delay lookahead");
+  static_assert(kLinkDelay > 0,
+                "sharded engine needs a positive link delay lookahead");
   const std::size_t k = static_cast<std::size_t>(num_shards_);
   pollers_.reserve(k);
   for (int s = 0; s < num_shards_; ++s) {

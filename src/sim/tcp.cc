@@ -9,6 +9,11 @@ namespace {
 constexpr std::uint64_t kStartCtx = 0;
 constexpr std::uint64_t kRtoCtx = 1;
 
+constexpr double kInitCwndPkts = 10;               // IW10
+constexpr Time kMinRto = 1 * units::kMillisecond;  // conservative DC floor
+constexpr Time kMaxRto = 100 * units::kMillisecond;
+constexpr double kDctcpGain = 0.0625;  // g in alpha = (1-g) alpha + g F
+
 std::int64_t packets_for(std::int64_t bytes) {
   return (bytes + kMss - 1) / kMss;
 }
@@ -25,8 +30,8 @@ TcpSource::TcpSource(Network& net, std::int32_t flow_id, topo::HostId src,
       dst_tor_(net.graph().tor_of_host(dst)),
       total_pkts_(packets_for(bytes)),
       sink_(std::make_unique<TcpSink>(net, flow_id)),
-      cwnd_(cfg.init_cwnd_pkts),
-      rto_(cfg.min_rto) {
+      cwnd_(kInitCwndPkts),
+      rto_(kMinRto) {
   SPINELESS_CHECK(bytes > 0);
   SPINELESS_CHECK(src != dst);
   record_.flow_id = flow_id;
@@ -87,7 +92,7 @@ void TcpSource::send_available(Simulator& sim) {
 }
 
 void TcpSource::arm_rto(Simulator& sim) {
-  const Time timeout = std::min(cfg_.max_rto, rto_ << std::min(backoff_, 6));
+  const Time timeout = std::min(kMaxRto, rto_ << std::min(backoff_, 6));
   rto_deadline_ = sim.now() + timeout;
   schedule_rto_event(sim);
 }
@@ -112,7 +117,7 @@ void TcpSource::note_rtt_sample(Time rtt) {
     rttvar_ = (3 * rttvar_ + err) / 4;
     srtt_ = (7 * srtt_ + rtt) / 8;
   }
-  rto_ = std::max(cfg_.min_rto, srtt_ + 4 * rttvar_);
+  rto_ = std::max(kMinRto, srtt_ + 4 * rttvar_);
 }
 
 void TcpSource::on_packet(Simulator& sim, const Packet& ack) {
@@ -139,7 +144,7 @@ void TcpSource::dctcp_on_ack(std::int64_t delta, bool marked) {
                        ? static_cast<double>(dctcp_marked_) /
                              static_cast<double>(dctcp_acked_)
                        : 0.0;
-  dctcp_alpha_ = (1.0 - cfg_.dctcp_gain) * dctcp_alpha_ + cfg_.dctcp_gain * f;
+  dctcp_alpha_ = (1.0 - kDctcpGain) * dctcp_alpha_ + kDctcpGain * f;
   if (dctcp_marked_ > 0 && !in_recovery_) {
     cwnd_ = std::max(2.0, cwnd_ * (1.0 - dctcp_alpha_ / 2.0));
     ssthresh_ = cwnd_;
@@ -207,7 +212,7 @@ void TcpSource::handle_timeout(Simulator& sim) {
   if (started_ && cum_ < total_pkts_) {
     const double inflight = static_cast<double>(snd_next_ - cum_);
     ssthresh_ = std::max(2.0, inflight / 2.0);
-    cwnd_ = cfg_.init_cwnd_pkts > 1 ? 1.0 : cfg_.init_cwnd_pkts;
+    cwnd_ = 1.0;
     in_recovery_ = false;
     dupacks_ = 0;
     snd_next_ = cum_;  // go-back-N

@@ -19,14 +19,10 @@
 namespace spineless::sim {
 
 struct TcpConfig {
-  double init_cwnd_pkts = 10;                 // IW10
-  Time min_rto = 1 * units::kMillisecond;     // conservative DC floor
-  Time max_rto = 100 * units::kMillisecond;
   // DCTCP (extension): react proportionally to the fraction of ECN-marked
   // ACKs, once per window: cwnd *= 1 - alpha/2. Requires
   // NetworkConfig::ecn_threshold_bytes > 0 to see any marks.
   bool dctcp = false;
-  double dctcp_gain = 0.0625;  // g in alpha = (1-g) alpha + g F
 };
 
 // Completion record for one flow.
@@ -57,7 +53,6 @@ class TcpSource : public EventSink, public Endpoint {
   void start_at(Simulator& sim, Time t);
 
   const FlowRecord& record() const noexcept { return record_; }
-  double cwnd_pkts() const noexcept { return cwnd_; }
   // Cumulatively acknowledged payload — the goodput numerator for
   // long-running-flow throughput measurements.
   std::int64_t bytes_acked() const noexcept {

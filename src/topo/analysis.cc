@@ -64,14 +64,6 @@ std::vector<int> bfs_distances(const Graph& g, NodeId src) {
   return dist;
 }
 
-std::vector<std::vector<int>> all_pairs_distances(const Graph& g) {
-  std::vector<std::vector<int>> dist;
-  dist.reserve(static_cast<std::size_t>(g.num_switches()));
-  for (NodeId n = 0; n < g.num_switches(); ++n)
-    dist.push_back(bfs_distances(g, n));
-  return dist;
-}
-
 PathLengthStats path_length_stats(const Graph& g) {
   PathLengthStats stats;
   double sum = 0;

@@ -30,9 +30,6 @@ double leaf_spine_udf(int x, int y);  // always 2
 // BFS hop distances from src to every switch (-1 if unreachable).
 std::vector<int> bfs_distances(const Graph& g, NodeId src);
 
-// Full all-pairs hop-distance matrix (row per source).
-std::vector<std::vector<int>> all_pairs_distances(const Graph& g);
-
 struct PathLengthStats {
   int diameter = 0;
   double mean = 0;  // over ordered switch pairs (u != v)

@@ -27,8 +27,6 @@ int default_jobs() {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-bool in_parallel_region() { return tl_parallel_depth > 0; }
-
 ParallelRegion::ParallelRegion() { ++tl_parallel_depth; }
 ParallelRegion::~ParallelRegion() { --tl_parallel_depth; }
 

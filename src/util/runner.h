@@ -42,10 +42,6 @@ constexpr std::uint64_t derive_cell_seed(std::uint64_t base_seed,
 // std::thread::hardware_concurrency().
 int default_jobs();
 
-// True while the calling thread is inside a parallel region (a Runner
-// worker or a sharded-engine shard thread).
-bool in_parallel_region();
-
 // RAII marker used by the pools themselves; user code never needs it.
 class ParallelRegion {
  public:

@@ -48,7 +48,6 @@ class Histogram {
   double bin_lo(std::size_t i) const;
   double bin_hi(std::size_t i) const;
   double bin_weight(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const noexcept { return counts_.size(); }
   double total_weight() const noexcept { return total_; }
 
   std::string ascii(std::size_t width = 40) const;

@@ -8,13 +8,13 @@
 
 namespace spineless::workload {
 
-double expected_truncated_flow_bytes(const FlowGenConfig& cfg) {
+double expected_truncated_flow_bytes() {
   // E[min(X, c)] for Pareto(alpha, xm) = xm + xm^a (c^(1-a) - xm^(1-a))/(1-a)
   // (the integral of the survival function up to the cap c). The floor at
-  // min_flow_bytes is below xm for the paper's parameters and ignored.
-  const double a = cfg.pareto_alpha;
-  const double xm = cfg.mean_flow_bytes * (a - 1.0) / a;
-  const double c = static_cast<double>(cfg.max_flow_bytes);
+  // kMinFlowBytes is below xm for the paper's parameters and ignored.
+  const double a = kParetoAlpha;
+  const double xm = kMeanFlowBytes * (a - 1.0) / a;
+  const double c = static_cast<double>(kMaxFlowBytes);
   return xm + std::pow(xm, a) *
                   (std::pow(c, 1.0 - a) - std::pow(xm, 1.0 - a)) / (1.0 - a);
 }
@@ -30,17 +30,16 @@ std::vector<FlowSpec> generate_flows(const TmSampler& sampler,
   // the expected volume hits the target — drawing until the volume is
   // reached would let one early heavy-tail elephant end generation.
   const auto n_flows = static_cast<std::size_t>(std::max(
-      1.0, std::round(target_bytes / expected_truncated_flow_bytes(cfg))));
+      1.0, std::round(target_bytes / expected_truncated_flow_bytes())));
 
   std::vector<FlowSpec> flows;
   flows.reserve(n_flows);
   for (std::size_t i = 0; i < n_flows; ++i) {
     FlowSpec f;
     std::tie(f.src, f.dst) = sampler.sample(rng);
-    const double raw = rng.pareto_with_mean(cfg.pareto_alpha,
-                                            cfg.mean_flow_bytes);
+    const double raw = rng.pareto_with_mean(kParetoAlpha, kMeanFlowBytes);
     f.bytes = std::clamp<std::int64_t>(static_cast<std::int64_t>(raw),
-                                       cfg.min_flow_bytes, cfg.max_flow_bytes);
+                                       kMinFlowBytes, kMaxFlowBytes);
     f.start = static_cast<Time>(rng.uniform(
         static_cast<std::uint64_t>(cfg.window)));
     flows.push_back(f);

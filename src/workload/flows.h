@@ -23,16 +23,17 @@ struct FlowSpec {
 struct FlowGenConfig {
   double offered_load_bps = 0;             // aggregate demand rate
   Time window = 10 * units::kMillisecond;  // flow arrivals span [0, window)
-  double mean_flow_bytes = 100e3;          // paper: Pareto mean 100 KB
-  double pareto_alpha = 1.05;              // paper: "scale" 1.05
-  // Truncation keeps the alpha=1.05 tail from producing a single flow
-  // larger than the whole experiment; standard practice in DC studies.
-  std::int64_t max_flow_bytes = 30'000'000;
-  std::int64_t min_flow_bytes = 1'500;     // at least one MTU
 };
 
+inline constexpr double kMeanFlowBytes = 100e3;  // paper: Pareto mean 100 KB
+inline constexpr double kParetoAlpha = 1.05;     // paper: "scale" 1.05
+// Truncation keeps the alpha=1.05 tail from producing a single flow
+// larger than the whole experiment; standard practice in DC studies.
+inline constexpr std::int64_t kMaxFlowBytes = 30'000'000;
+inline constexpr std::int64_t kMinFlowBytes = 1'500;  // at least one MTU
+
 // Expected size of one generated flow under the truncated Pareto.
-double expected_truncated_flow_bytes(const FlowGenConfig& cfg);
+double expected_truncated_flow_bytes();
 
 // Draws a fixed number of flows — offered_load_bps * window divided by the
 // expected truncated flow size, so the *expected* volume hits the target

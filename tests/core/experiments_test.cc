@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "../routing/path_checks.h"
 #include "core/fct_experiment.h"
 #include "routing/paths.h"
 #include "topo/analysis.h"

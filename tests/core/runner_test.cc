@@ -1,4 +1,4 @@
-#include "core/runner.h"
+#include "util/runner.h"
 
 #include <gtest/gtest.h>
 
@@ -15,14 +15,14 @@ namespace spineless::core {
 namespace {
 
 TEST(Runner, MapReturnsResultsInIndexOrder) {
-  Runner runner(4);
+  util::Runner runner(4);
   const auto out = runner.map(100, [](std::size_t i) { return 3 * i + 1; });
   ASSERT_EQ(out.size(), 100u);
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], 3 * i + 1);
 }
 
 TEST(Runner, SingleJobRunsInline) {
-  Runner runner(1);
+  util::Runner runner(1);
   EXPECT_EQ(runner.jobs(), 1);
   // Serial execution visits cells strictly in order.
   std::vector<std::size_t> order;
@@ -36,19 +36,19 @@ TEST(Runner, SingleJobRunsInline) {
 }
 
 TEST(Runner, AllCellsRunExactlyOnce) {
-  Runner runner(8);
+  util::Runner runner(8);
   std::vector<std::atomic<int>> hits(1000);
   runner.map(hits.size(), [&](std::size_t i) { return ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(Runner, EmptyBatchIsNoOp) {
-  Runner runner(4);
+  util::Runner runner(4);
   EXPECT_TRUE(runner.map(0, [](std::size_t i) { return i; }).empty());
 }
 
 TEST(Runner, ReusableAcrossBatches) {
-  Runner runner(3);
+  util::Runner runner(3);
   for (int round = 0; round < 5; ++round) {
     const auto out =
         runner.map(17, [round](std::size_t i) { return i + 100 * round; });
@@ -63,7 +63,7 @@ TEST(Runner, BackToBackBatchStress) {
   // immediately — it must observe the new batch's body and count, never
   // the stale (nulled) state from its own batch. Many tiny batches
   // maximize the overlap window.
-  Runner runner(8);
+  util::Runner runner(8);
   for (int round = 0; round < 2000; ++round) {
     std::atomic<int> sum{0};
     runner.map(16, [&](std::size_t i) {
@@ -75,7 +75,7 @@ TEST(Runner, BackToBackBatchStress) {
 }
 
 TEST(Runner, FirstExceptionPropagates) {
-  Runner runner(4);
+  util::Runner runner(4);
   EXPECT_THROW(runner.map(50,
                           [](std::size_t i) {
                             if (i == 13) throw std::runtime_error("cell 13");
@@ -87,18 +87,18 @@ TEST(Runner, FirstExceptionPropagates) {
 TEST(Runner, DeriveCellSeedIsThreadCountInvariantByConstruction) {
   // The seed depends only on (base, index) — decorrelated across indices,
   // stable across processes.
-  const std::uint64_t a = derive_cell_seed(1, 0);
-  const std::uint64_t b = derive_cell_seed(1, 1);
-  const std::uint64_t c = derive_cell_seed(2, 0);
+  const std::uint64_t a = util::derive_cell_seed(1, 0);
+  const std::uint64_t b = util::derive_cell_seed(1, 1);
+  const std::uint64_t c = util::derive_cell_seed(2, 0);
   EXPECT_NE(a, b);
   EXPECT_NE(a, c);
-  EXPECT_EQ(a, derive_cell_seed(1, 0));
+  EXPECT_EQ(a, util::derive_cell_seed(1, 0));
 }
 
 TEST(Runner, DefaultJobsHonorsEnvironment) {
   // Cannot mutate the environment safely under the test runner, but the
   // value must at least be a positive worker count.
-  EXPECT_GE(default_jobs(), 1);
+  EXPECT_GE(util::default_jobs(), 1);
 }
 
 // The tentpole guarantee: a sweep of real packet-level experiment cells
@@ -109,12 +109,12 @@ TEST(Runner, FctSweepIsDeterministicAcrossThreadCounts) {
   const workload::RackTm tm = workload::RackTm::uniform(g);
 
   auto run_cells = [&](int jobs) {
-    Runner runner(jobs);
+    util::Runner runner(jobs);
     return runner.map(6, [&](std::size_t i) {
       FctConfig cfg;
       cfg.flowgen.offered_load_bps = 0.2 * 12 * units::gbps(10);
       cfg.flowgen.window = 2 * units::kMillisecond;
-      cfg.seed = derive_cell_seed(7, i);
+      cfg.seed = util::derive_cell_seed(7, i);
       return run_fct_experiment(g, tm, cfg);
     });
   };

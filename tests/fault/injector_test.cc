@@ -54,7 +54,7 @@ TEST(FaultInjector, OutageWindowIsDetectionPlusRepairDelay) {
   // time, at most one hello interval (plus the in-flight slack) late.
   EXPECT_GT(o.t_detected, o.t_down);
   EXPECT_LE(o.t_detected, o.t_down + inj.hold_time() + cfg.hello_interval +
-                              2 * ncfg.link_delay);
+                              2 * sim::kLinkDelay);
   // The measured outage window decomposes exactly into detection delay plus
   // the control-plane reaction (incremental reconvergence) time.
   EXPECT_EQ(o.t_routed_out, o.t_detected + cfg.repair_delay);
@@ -64,7 +64,7 @@ TEST(FaultInjector, OutageWindowIsDetectionPlusRepairDelay) {
   EXPECT_EQ(o.t_restored, 8 * units::kMillisecond);
   EXPECT_GE(o.t_up_detected, o.t_restored);
   EXPECT_LE(o.t_up_detected,
-            o.t_restored + cfg.hello_interval + 2 * ncfg.link_delay);
+            o.t_restored + cfg.hello_interval + 2 * sim::kLinkDelay);
   EXPECT_EQ(o.t_routed_in, o.t_up_detected + cfg.repair_delay);
   // Blackhole window = failure until the tables stopped using the link.
   EXPECT_DOUBLE_EQ(r.blackhole_seconds,

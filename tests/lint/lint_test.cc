@@ -37,6 +37,27 @@ Config fixture_config() {
   return cfg;
 }
 
+// no-wall-clock and no-raw-rand report a direct site and a function that
+// reaches one through a call chain under one rule name; the message tells
+// the two apart.
+bool is_transitive(const Finding& f) {
+  return f.message.find(" transitively reaches ") != std::string::npos;
+}
+
+std::vector<Finding> direct_findings(const LintResult& r,
+                                     const std::string& rule) {
+  std::vector<Finding> out = findings_for(r, rule);
+  std::erase_if(out, is_transitive);
+  return out;
+}
+
+std::vector<Finding> transitive_findings(const LintResult& r,
+                                         const std::string& rule) {
+  std::vector<Finding> out = findings_for(r, rule);
+  std::erase_if(out, [](const Finding& f) { return !is_transitive(f); });
+  return out;
+}
+
 LintResult lint_fixture(const std::string& file) {
   return run_lint(kFixtureDir, fixture_config(), {file});
 }
@@ -281,15 +302,13 @@ TEST(SnapshotCoverage, ReportsMissingStructOrFiles) {
 
 // --- Graph rules (phase 2, over the symbol index) ------------------------
 
-// The taint fixtures isolate call-graph propagation: the per-file rules
-// are switched off, so only the graph rules can see the hazards.
+// The taint fixtures isolate call-graph propagation: transitive findings
+// fire only under src/sim/, while the direct sites sit in src/util/.
 Config taint_fixture_config() {
   Config cfg;
   cfg.scan = {"."};
-  cfg.rules["no-wall-clock"].enabled = false;
-  cfg.rules["no-raw-rand"].enabled = false;
-  cfg.rules["taint-wall-clock"].paths = {"src/sim/"};
-  cfg.rules["taint-raw-rand"].paths = {"src/sim/"};
+  cfg.rules["no-wall-clock"].paths = {"src/sim/"};
+  cfg.rules["no-raw-rand"].paths = {"src/sim/"};
   return cfg;
 }
 
@@ -299,7 +318,7 @@ const std::vector<std::string> kTaintFiles = {
 TEST(TaintRules, FlagTransitiveReachThroughHelper) {
   const auto r = run_lint(std::string(kFixtureDir) + "/taint",
                           taint_fixture_config(), kTaintFiles);
-  const auto wall = findings_for(r, "taint-wall-clock");
+  const auto wall = transitive_findings(r, "no-wall-clock");
   ASSERT_EQ(wall.size(), 2u) << report_text(r);
   // stamp() is one hop from the seed, indirect() two — both must taint,
   // and the chain in the message names every hop.
@@ -311,7 +330,7 @@ TEST(TaintRules, FlagTransitiveReachThroughHelper) {
   EXPECT_NE(wall[1].message.find(
                 "app::indirect -> app::stamp -> app::helper_now"),
             std::string::npos);
-  const auto rnd = findings_for(r, "taint-raw-rand");
+  const auto rnd = transitive_findings(r, "no-raw-rand");
   ASSERT_EQ(rnd.size(), 1u) << report_text(r);
   EXPECT_NE(rnd[0].message.find("'app::jitter'"), std::string::npos);
   EXPECT_NE(rnd[0].message.find("mt19937"), std::string::npos);
@@ -321,8 +340,8 @@ TEST(TaintRules, AllowlistedBarrierBlocksPropagation) {
   Config cfg = taint_fixture_config();
   // The helper file is now the reviewed home of both hazards: it neither
   // seeds nor propagates, so the whole tree is clean.
-  cfg.rules["taint-wall-clock"].allow = {"src/util/helper."};
-  cfg.rules["taint-raw-rand"].allow = {"src/util/helper."};
+  cfg.rules["no-wall-clock"].allow = {"src/util/helper."};
+  cfg.rules["no-raw-rand"].allow = {"src/util/helper."};
   const auto r =
       run_lint(std::string(kFixtureDir) + "/taint", cfg, kTaintFiles);
   EXPECT_TRUE(r.findings.empty()) << report_text(r);
@@ -387,10 +406,10 @@ TEST(Baseline, RoundTripMatchesByRulePathMessage) {
   // finding is never absorbed.
   LintResult next;
   next.findings.push_back({"no-raw-rand", "src/a.cc", 41, "msg one"});
-  next.findings.push_back({"taint-raw-rand", "src/c.cc", 1, "fresh"});
+  next.findings.push_back({"no-wall-clock", "src/c.cc", 1, "fresh"});
   apply_baseline(keys, &next);
   ASSERT_EQ(next.findings.size(), 1u);
-  EXPECT_EQ(next.findings[0].rule, "taint-raw-rand");
+  EXPECT_EQ(next.findings[0].rule, "no-wall-clock");
   EXPECT_EQ(next.baselined, 1u);
   EXPECT_EQ(next.baseline_stale, 1u) << "'msg two' no longer fires";
 }
@@ -498,9 +517,9 @@ TEST(SeededHazard, AllowlistedPathsStayQuiet) {
 }
 
 // Acceptance demo for the taint tentpole: a wall-clock read in a src/sim
-// helper that the caller only reaches transitively. The per-file rule
-// flags the helper line; taint-wall-clock must additionally flag the
-// caller — under the *shipped* configuration.
+// helper that the caller only reaches transitively. no-wall-clock flags
+// the helper line as a direct site and must additionally flag the caller
+// — under the *shipped* configuration.
 TEST(SeededHazard, TransitiveWallClockInSimHelperIsCaught) {
   std::string error;
   auto cfg = parse_config(shipped_config_text(), &error);
@@ -525,10 +544,10 @@ TEST(SeededHazard, TransitiveWallClockInSimHelperIsCaught) {
       "void advance() { double t = now_s(); (void)t; }\n"
       "}  // namespace spineless::sim\n"));
   const auto r = lint_files(kSourceDir, *cfg, std::move(files));
-  const auto direct = findings_for(r, "no-wall-clock");
+  const auto direct = direct_findings(r, "no-wall-clock");
   ASSERT_EQ(direct.size(), 1u) << report_text(r);
   EXPECT_EQ(direct[0].path, "src/sim/timing_helper.cc");
-  const auto taint = findings_for(r, "taint-wall-clock");
+  const auto taint = transitive_findings(r, "no-wall-clock");
   ASSERT_EQ(taint.size(), 1u) << report_text(r);
   EXPECT_EQ(taint[0].path, "src/sim/stepper.cc");
   EXPECT_EQ(taint[0].line, 3);
@@ -618,8 +637,8 @@ TEST(SelfCheck, ShippedTreeIsLintClean) {
   // parked waits and the watchdog's poll loop (all atomic-spin). The six
   // wall-clock NOLINTs that used to annotate table-build/setup timing are
   // gone — that timing now routes through the util/walltime barrier,
-  // where the taint rule verifies the edge instead. An exact count makes
-  // both a new suppression and a dead one show up here.
+  // where no-wall-clock verifies the call edge instead. An exact count
+  // makes both a new suppression and a dead one show up here.
   EXPECT_EQ(r.suppressed, 3u);
 }
 

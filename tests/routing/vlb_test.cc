@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "path_checks.h"
 #include "routing/paths.h"
 #include "topo/builders.h"
 

@@ -5,6 +5,7 @@
 #include <set>
 #include <utility>
 
+#include "path_checks.h"
 #include "routing/paths.h"
 #include "topo/analysis.h"
 #include "topo/builders.h"
@@ -80,7 +81,7 @@ TEST_P(VrfEquivalence, ProjectedPathsEqualShortestUnion) {
   for (NodeId src = 0; src < g.num_switches(); ++src) {
     for (NodeId dst = 0; dst < g.num_switches(); ++dst) {
       if (src == dst) continue;
-      const auto projected = table.project_paths(src, dst, 8192);
+      const auto projected = project_paths(table, src, dst, 8192);
       const auto su = shortest_union_paths(g, src, dst, k, 8192);
       EXPECT_EQ(projected, su) << src << "->" << dst << " k=" << k;
     }
@@ -101,7 +102,7 @@ TEST(VrfTable, K1IsPlainShortestPathRouting) {
   for (NodeId src = 0; src < g.num_switches(); ++src) {
     for (NodeId dst = 0; dst < g.num_switches(); ++dst) {
       if (src == dst) continue;
-      EXPECT_EQ(table.project_paths(src, dst),
+      EXPECT_EQ(project_paths(table, src, dst),
                 enumerate_shortest_paths(g, src, dst));
     }
   }
@@ -143,7 +144,7 @@ TEST(VrfTable, AdjacentRacksGetThePathDiversityEcmpLacks) {
   const auto table = VrfTable::compute(g, 2);
   const NodeId u = 0;
   const NodeId v = g.neighbors(u)[0].neighbor;
-  const auto projected = table.project_paths(u, v);
+  const auto projected = project_paths(table, u, v);
   EXPECT_GE(static_cast<int>(projected.size()), 2 * n + 1)
       << "direct link + one 2-hop path per common neighbor";
 }
@@ -181,7 +182,7 @@ TEST(VrfTable, WeightsSumToPathCount) {
       std::int64_t total = 0;
       for (const VrfHop& h : t.next_hops(src, 2, dst)) total += h.weight;
       EXPECT_EQ(total,
-                static_cast<std::int64_t>(t.project_paths(src, dst).size()))
+                static_cast<std::int64_t>(project_paths(t, src, dst).size()))
           << src << "->" << dst;
     }
   }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "../routing/path_checks.h"
 #include "flowsim/maxmin.h"
 #include "flowsim/resource_layout.h"
 #include "routing/paths.h"

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "../routing/path_checks.h"
 #include "topo/builders.h"
 
 namespace spineless::topo {

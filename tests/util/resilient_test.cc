@@ -10,13 +10,12 @@
 #include <string>
 #include <thread>
 
-#include "core/runner.h"
 #include "util/resilient.h"
+#include "util/runner.h"
 
 namespace spineless::util {
 namespace {
 
-using core::Runner;
 
 TEST(RetryPolicy, BackoffIsCappedExponential) {
   RetryPolicy p;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "topo/builders.h"
 
@@ -25,7 +27,7 @@ TEST(GenerateFlows, FlowCountMatchesOfferedLoad) {
   const auto flows = generate_flows(sampler, cfg, rng);
   const double target = cfg.offered_load_bps / 8.0 * 0.010;
   const auto expected_n = static_cast<std::size_t>(
-      std::round(target / expected_truncated_flow_bytes(cfg)));
+      std::round(target / expected_truncated_flow_bytes()));
   EXPECT_EQ(flows.size(), expected_n);
   // Realized volume is heavy-tailed but should land within a loose band
   // around the target.
@@ -38,8 +40,7 @@ TEST(GenerateFlows, FlowCountMatchesOfferedLoad) {
 TEST(GenerateFlows, ExpectedTruncatedMeanBelowNominal) {
   // Truncation at 30 MB trims the alpha=1.05 tail, so the effective mean
   // sits below the nominal 100 KB but stays the right order of magnitude.
-  const FlowGenConfig cfg;
-  const double m = expected_truncated_flow_bytes(cfg);
+  const double m = expected_truncated_flow_bytes();
   EXPECT_LT(m, 100e3);
   EXPECT_GT(m, 20e3);
 }
@@ -65,8 +66,8 @@ TEST(GenerateFlows, SizesWithinTruncationBounds) {
   Rng rng(3);
   const auto cfg = small_config();
   for (const auto& f : generate_flows(sampler, cfg, rng)) {
-    EXPECT_GE(f.bytes, cfg.min_flow_bytes);
-    EXPECT_LE(f.bytes, cfg.max_flow_bytes);
+    EXPECT_GE(f.bytes, kMinFlowBytes);
+    EXPECT_LE(f.bytes, kMaxFlowBytes);
   }
 }
 
@@ -99,6 +100,35 @@ TEST(GenerateFlows, DeterministicPerSeed) {
     EXPECT_EQ(a[i].bytes, b[i].bytes);
     EXPECT_EQ(a[i].start, b[i].start);
   }
+}
+
+TEST(Flows, GeneratedFlowsArePinned) {
+  // Pins every FlowSpec that generate_flows draws, for two TMs at two
+  // loads, and the bit pattern of the expected truncated flow size, so a
+  // change to the Pareto parameters, the truncation bounds or the draw
+  // order that moves one byte or one picosecond fails here.
+  const Graph g = topo::make_dring(5, 2, 4).graph;
+  std::uint64_t h = 0;
+  const auto mix = [&h](std::uint64_t v) { h = splitmix64(h ^ v); };
+  for (const RackTm& tm : {RackTm::uniform(g), RackTm::fb_like_skewed(g, 3)}) {
+    const TmSampler sampler(g, tm);
+    for (const double load : {1e9, 40e9}) {
+      Rng rng(0x5eed);
+      auto cfg = small_config();
+      cfg.offered_load_bps = load;
+      const auto flows = generate_flows(sampler, cfg, rng);
+      mix(flows.size());
+      for (const FlowSpec& f : flows) {
+        mix(static_cast<std::uint64_t>(f.src));
+        mix(static_cast<std::uint64_t>(f.dst));
+        mix(static_cast<std::uint64_t>(f.bytes));
+        mix(static_cast<std::uint64_t>(f.start));
+      }
+    }
+  }
+  EXPECT_EQ(h, 12958928447254596444ull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(expected_truncated_flow_bytes()),
+            4675524825218683639ull);
 }
 
 TEST(SpineOfferedLoad, ClosedForm) {

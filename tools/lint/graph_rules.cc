@@ -12,12 +12,14 @@ namespace spineless::lint {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Taint over the call graph. Seeds are hazard sites (wall-clock reads, raw
-// randomness) inside function bodies; taint flows callee -> caller; barrier
-// functions (defined in an allowlisted file) neither seed nor propagate.
-// Findings fire on *transitively* tainted functions whose definition lies
-// under the rule's `paths` — the direct site is the per-file rule's job, so
-// the two rules never double-report one line.
+// One rule per hazard (no-wall-clock, no-raw-rand), over the call graph.
+// Every hazard site in a scanned file outside the rule's `allow` is
+// reported where it stands: a chain of length 0. Taint then flows callee
+// -> caller from the first site in each function body, and findings fire
+// on the *transitively* tainted functions whose definition lies under the
+// rule's `paths`. Barrier functions (defined in an allowlisted file, the
+// reviewed home of the hazard) neither seed nor propagate, so a direct
+// site and a transitive finding never report one line twice.
 
 struct Seed {
   std::string hazard;  // display name from the shared detector
@@ -25,21 +27,41 @@ struct Seed {
   int line = 0;
 };
 
+struct Site {
+  std::size_t tok = 0;
+  std::string hazard;
+};
+
 using SiteFn = std::string (*)(const std::vector<Token>&, std::size_t);
 
 class TaintRule : public Rule {
  public:
   TaintRule(const char* rule_name, SiteFn detect, std::string kind,
-            std::string remedy)
+            std::string direct_remedy, std::string remedy)
       : name_(rule_name),
         detect_(detect),
         kind_(std::move(kind)),
+        direct_remedy_(std::move(direct_remedy)),
         remedy_(std::move(remedy)) {}
 
   const char* name() const override { return name_; }
 
   void check(const ProjectView& p, std::vector<Finding>* out) const override {
-    if (p.index == nullptr || !p.cfg.rule(name_).enabled) return;
+    if (!p.cfg.rule(name_).enabled) return;
+    // Direct sites, in token order per file.
+    std::vector<std::vector<Site>> sites(p.files.size());
+    for (std::size_t fi = 0; fi < p.files.size(); ++fi) {
+      const SourceFile& f = p.files[fi];
+      if (p.cfg.allowlisted(name_, f.path)) continue;
+      for (std::size_t i = 0; i < f.tokens.size(); ++i) {
+        std::string site = detect_(f.tokens, i);
+        if (site.empty()) continue;
+        out->push_back({name_, f.path, f.tokens[i].line,
+                        kind_ + " '" + site + "' — " + direct_remedy_});
+        sites[fi].push_back({i, std::move(site)});
+      }
+    }
+    if (p.index == nullptr) return;
     const Index& idx = *p.index;
     const std::size_t n = idx.symbols.size();
 
@@ -55,22 +77,21 @@ class TaintRule : public Rule {
           barrier[s] = 1;
       }
 
-    // Seed scan: first hazard site per symbol, in def order so the
-    // reported site is stable.
+    // Seeds: first direct site per symbol, in def order so the reported
+    // site is stable.
     std::vector<char> is_seed(n, 0);
     std::vector<Seed> seed(n);
     for (std::size_t d = 0; d < idx.defs.size(); ++d) {
       const std::size_t s = sym_of_def[d];
       if (barrier[s] != 0 || is_seed[s] != 0) continue;
       const FunctionDef& def = idx.defs[d];
-      const auto& toks = p.files[def.file].tokens;
-      for (std::size_t k = def.tok_begin; k < def.tok_end; ++k) {
-        const std::string site = detect_(toks, k);
-        if (site.empty()) continue;
-        is_seed[s] = 1;
-        seed[s] = {site, def.file, toks[k].line};
-        break;
-      }
+      const auto& in_file = sites[def.file];
+      const auto it = std::lower_bound(
+          in_file.begin(), in_file.end(), def.tok_begin,
+          [](const Site& a, std::size_t tok) { return a.tok < tok; });
+      if (it == in_file.end() || it->tok >= def.tok_end) continue;
+      is_seed[s] = 1;
+      seed[s] = {it->hazard, def.file, p.files[def.file].tokens[it->tok].line};
     }
 
     // Reverse adjacency + multi-source BFS from the seeds. next_hop points
@@ -137,6 +158,7 @@ class TaintRule : public Rule {
   const char* name_;
   SiteFn detect_;
   std::string kind_;
+  std::string direct_remedy_;
   std::string remedy_;
 };
 
@@ -261,19 +283,23 @@ class LayeringRule : public Rule {
 
 }  // namespace
 
-std::unique_ptr<Rule> make_taint_wall_clock_rule() {
+std::unique_ptr<Rule> make_no_wall_clock_rule() {
   return std::make_unique<TaintRule>(
-      "taint-wall-clock", &wall_clock_site, "wall-clock source",
+      "no-wall-clock", &wall_clock_site, "wall-clock source",
+      "results must be a function of (seed, sim time) only; annotate "
+      "metadata-only timing with NOLINT(spineless-no-wall-clock): <why>",
       "determinism-critical layers must be a function of (seed, sim time) "
       "only; route metadata timing through the sanctioned barrier "
-      "(util/walltime) or extend [rule.taint-wall-clock] allow");
+      "(util/walltime) or extend [rule.no-wall-clock] allow");
 }
 
-std::unique_ptr<Rule> make_taint_raw_rand_rule() {
+std::unique_ptr<Rule> make_no_raw_rand_rule() {
   return std::make_unique<TaintRule>(
-      "taint-raw-rand", &raw_rand_site, "raw randomness",
+      "no-raw-rand", &raw_rand_site, "raw randomness",
+      "draw from util/rng (seeded xoshiro streams) so runs replay from one "
+      "seed",
       "draw through util/rng's seeded xoshiro streams so runs replay from "
-      "one seed, or extend [rule.taint-raw-rand] allow");
+      "one seed, or extend [rule.no-raw-rand] allow");
 }
 
 std::unique_ptr<Rule> make_layering_rule() {

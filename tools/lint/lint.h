@@ -17,11 +17,10 @@
 //                        the engine layers must park in a futex-backed
 //                        wait or carry a justified annotation
 //
-// Graph rules (phase 2, over the cross-TU symbol index — graph_rules.cc):
-//   taint-wall-clock     no function in the determinism-critical layers
-//                        transitively reaches a wall-clock read outside
-//                        the sanctioned allowlist
-//   taint-raw-rand       same, for raw randomness outside util/rng
+// no-wall-clock and no-raw-rand run over the cross-TU symbol index (phase
+// 2, graph_rules.cc): besides each direct site, they flag every function in
+// the determinism-critical layers that reaches one through a call chain.
+// So does the third graph rule:
 //   layering             the include graph respects the configured DAG
 //                        ([layers] ranks; back-edges and cycles reported
 //                        with the full path)

@@ -40,59 +40,6 @@ std::size_t skip_braces(const std::vector<Token>& toks, std::size_t i) {
 }
 
 // ---------------------------------------------------------------------------
-// no-wall-clock: byte-identical reruns require that no simulated state is a
-// function of wall time. Flags the std::chrono clocks and the POSIX time
-// calls; metadata-only timing (e.g. table_build_s accounting) must carry a
-// justified NOLINT, and whole files whose job is wall time (util/resilient)
-// are allowlisted in lint.toml.
-class NoWallClock : public Rule {
- public:
-  const char* name() const override { return "no-wall-clock"; }
-
-  void check(const ProjectView& p, std::vector<Finding>* out) const override {
-    for (const SourceFile& f : p.files) {
-      if (!p.cfg.applies(name(), f.path)) continue;
-      const auto& t = f.tokens;
-      for (std::size_t i = 0; i < t.size(); ++i) {
-        const std::string site = wall_clock_site(t, i);
-        if (site.empty()) continue;
-        out->push_back(
-            {name(), f.path, t[i].line,
-             "wall-clock source '" + site +
-                 "' — results must be a function of (seed, sim time) "
-                 "only; annotate metadata-only timing with "
-                 "NOLINT(spineless-no-wall-clock): <why>"});
-      }
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
-// no-raw-rand: single-seed reproducibility requires every random draw to
-// flow through util/rng's seeded xoshiro streams. std::random_device and
-// friends produce unseedable, run-dependent values; rand() adds hidden
-// global state that parallel cells would race on.
-class NoRawRand : public Rule {
- public:
-  const char* name() const override { return "no-raw-rand"; }
-
-  void check(const ProjectView& p, std::vector<Finding>* out) const override {
-    for (const SourceFile& f : p.files) {
-      if (!p.cfg.applies(name(), f.path)) continue;
-      const auto& t = f.tokens;
-      for (std::size_t i = 0; i < t.size(); ++i) {
-        const std::string site = raw_rand_site(t, i);
-        if (site.empty()) continue;
-        out->push_back({name(), f.path, t[i].line,
-                        "raw randomness '" + site +
-                            "' — draw from util/rng (seeded xoshiro "
-                            "streams) so runs replay from one seed"});
-      }
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
 // unordered-iteration: iterating a hash container inside the simulator,
 // routing, or fault layers lets hash-order (which varies with insertion
 // history, libstdc++ version, and pointer values) leak into event order or
@@ -544,14 +491,12 @@ std::string raw_rand_site(const std::vector<Token>& t, std::size_t i) {
 const std::vector<std::unique_ptr<Rule>>& all_rules() {
   static const std::vector<std::unique_ptr<Rule>>* kRules = [] {
     auto* rules = new std::vector<std::unique_ptr<Rule>>();
-    rules->push_back(std::make_unique<NoWallClock>());
-    rules->push_back(std::make_unique<NoRawRand>());
+    rules->push_back(make_no_wall_clock_rule());
+    rules->push_back(make_no_raw_rand_rule());
     rules->push_back(std::make_unique<UnorderedIteration>());
     rules->push_back(std::make_unique<PointerOrdering>());
     rules->push_back(std::make_unique<SnapshotCoverage>());
     rules->push_back(std::make_unique<AtomicSpin>());
-    rules->push_back(make_taint_wall_clock_rule());
-    rules->push_back(make_taint_raw_rand_rule());
     rules->push_back(make_layering_rule());
     return rules;
   }();

@@ -31,11 +31,10 @@ class Rule {
 // (optionally) giving it a [rule.<name>] section in lint.toml.
 const std::vector<std::unique_ptr<Rule>>& all_rules();
 
-// Shared hazard-site detectors: if token `i` of `t` is a wall-clock read
-// or a raw-randomness use, returns its display name ("steady_clock",
-// "time()", "mt19937"); empty string otherwise. The per-file rules
-// (no-wall-clock, no-raw-rand) and the taint seeding (graph_rules.cc)
-// must agree on what a hazard *is*, so the predicate lives in one place.
+// Hazard-site detectors of the no-wall-clock and no-raw-rand rules
+// (graph_rules.cc): if token `i` of `t` is a wall-clock read or a
+// raw-randomness use, returns its display name ("steady_clock", "time()",
+// "mt19937"); empty string otherwise.
 std::string wall_clock_site(const std::vector<Token>& t, std::size_t i);
 std::string raw_rand_site(const std::vector<Token>& t, std::size_t i);
 
