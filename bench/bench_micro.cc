@@ -189,8 +189,7 @@ int run_json_smoke(const std::string& path, int intra_jobs) {
     // serial JSON is stable).
     w.kv("intra_jobs", intra_jobs);
     w.kv("engine_windows", best.metrics.windows);
-    w.kv("engine_ring_handoffs", best.metrics.ring_handoffs);
-    w.kv("engine_max_ring_occupancy", best.metrics.max_ring_occupancy);
+    w.kv("engine_handoffs", best.metrics.handoffs);
     w.kv("engine_spin_waits", best.metrics.spin_waits);
     w.kv("engine_central_plans", best.metrics.central_plans);
     w.kv("overhead_passes", kOverheadPasses);

@@ -61,10 +61,7 @@ int run(const std::string& path, bool pin_reactors) {
     }
     if (c.intra_jobs > 1) {
       w.kv("engine_windows", c.metrics.windows);
-      w.kv("engine_ring_handoffs", c.metrics.ring_handoffs);
-      w.kv("engine_max_ring_occupancy", c.metrics.max_ring_occupancy);
-      w.kv("engine_ring_capacity", c.metrics.ring_capacity);
-      w.kv("engine_ring_growths", c.metrics.ring_growths);
+      w.kv("engine_handoffs", c.metrics.handoffs);
       w.kv("engine_spin_waits", c.metrics.spin_waits);
       w.kv("engine_central_plans", c.metrics.central_plans);
     }

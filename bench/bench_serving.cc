@@ -5,7 +5,9 @@
 //
 // Modes:
 //   bench_serving                      closed-loop + overload phases,
-//                                      writes results/BENCH_serving.json
+//                                      writes BENCH_serving.json (--json=
+//                                      PATH overrides; scripts/reproduce.sh
+//                                      refreshes results/BENCH_serving.json)
 //   bench_serving --trace=FILE         also dump the seed-deterministic
 //                                      request mix to FILE and replay it
 //                                      synchronously (cache exercised by
@@ -280,7 +282,7 @@ int run(int argc, char** argv) {
   }
 
   json.end_object();
-  const std::string out = flags.get("json", "results/BENCH_serving.json");
+  const std::string out = flags.get("json", "BENCH_serving.json");
   if (!write_json_file(out, json))
     std::fprintf(stderr, "bench_serving: cannot write %s\n", out.c_str());
   else

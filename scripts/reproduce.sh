@@ -117,6 +117,11 @@ for b in build/bench/*; do
       printf '  "serial": %s,\n' "$(cat BENCH_micro.json)"
       printf '  "intra_jobs_2": %s\n}\n' "$(cat BENCH_micro_intra2.json)"
     } > results/BENCH_micro.json
+  elif [[ "$name" == bench_serving ]]; then
+    # Refreshes the committed serving envelope; a bare run writes
+    # BENCH_serving.json to the cwd like every other bench.
+    env "${SCALE_ENV[@]}" "$b" "${JOBS_FLAG[@]}" "${RESUME_FLAG[@]}" \
+      --json=results/BENCH_serving.json 2>/dev/null | tee -a bench_output.txt
   elif [[ "$name" == bench_scaling ]]; then
     # Scaling sweep over intra_jobs; no --jobs (the sweep IS the
     # parallelism axis under test).

@@ -73,11 +73,11 @@ class FaultInjector::BfdRx : public sim::EventSink {
   bool down_ = false;
 };
 
-void FaultInjectorConfig::validate(Time link_delay) const {
-  if (repair_delay < link_delay) {
+void FaultInjectorConfig::validate() const {
+  if (repair_delay < sim::kLinkDelay) {
     throw Error("FaultInjectorConfig: repair_delay (" +
                 std::to_string(repair_delay) + "ps) is below the network "
-                "link delay (" + std::to_string(link_delay) +
+                "link delay (" + std::to_string(sim::kLinkDelay) +
                 "ps) — repair events would land inside the sharded engine's "
                 "lookahead horizon and break cross-shard determinism");
   }
@@ -121,7 +121,7 @@ FaultInjector::FaultInjector(Network& net, const FaultPlan& plan,
 FaultInjector::~FaultInjector() { net_.set_hello_handler(nullptr); }
 
 void FaultInjector::arm(Simulator& sim, Time until) {
-  cfg_.validate(sim::kLinkDelay);
+  cfg_.validate();
   hello_until_ = until;
   arm_actions(sim);
   // Stagger hello start times evenly across one interval so the fabric is
@@ -138,7 +138,7 @@ void FaultInjector::arm(Simulator& sim, Time until) {
 }
 
 void FaultInjector::arm_actions(Simulator& sim) {
-  cfg_.validate(sim::kLinkDelay);
+  cfg_.validate();
   for (std::size_t i = 0; i < plan_.actions().size(); ++i) {
     SPINELESS_CHECK_MSG(plan_.actions()[i].at >= sim.now(),
                         "FaultInjector: plan action at t="

@@ -50,13 +50,13 @@ struct FaultInjectorConfig {
   Time repair_delay = 500 * units::kMicrosecond;
 
   // Throws spineless::Error naming the offending value when the config
-  // cannot run deterministically: repair_delay below `link_delay` would
+  // cannot run deterministically: repair_delay below sim::kLinkDelay would
   // schedule global repair events inside the sharded engine's lookahead
   // horizon (silent cross-shard nondeterminism), and a non-positive
   // hello_interval / hold_count < 1 degenerates the BFD machinery.
   // FaultInjector::arm() calls this; callers embedding the config elsewhere
   // (the hybrid fluid outage model) validate through the same path.
-  void validate(Time link_delay) const;
+  void validate() const;
 };
 
 class FaultInjector : public sim::EventSink,

@@ -13,15 +13,6 @@ namespace {
 // Events dispatched per poll() slice — bounds how long one dense shard can
 // monopolize a reactor that also hosts other pollers.
 constexpr int kRunBatch = 512;
-// Ring entries moved to staging per opportunistic drain.
-constexpr std::size_t kDrainBatch = 256;
-// Initial ring capacity (power of two). Overflow vectors absorb bursts
-// beyond it, and sustained producer-overflow pressure grows a lane's ring
-// geometrically (doubling at quiescent run_until boundaries) up to
-// kMaxRingCapacity — the micro scenario used to pin max_ring_occupancy at
-// the old fixed 1024 with every burst spilling to overflow.
-constexpr std::size_t kRingCapacity = 1024;
-constexpr std::size_t kMaxRingCapacity = 65536;
 // Full no-progress reactor passes before yielding the OS thread.
 constexpr int kSpinPasses = 64;
 
@@ -72,21 +63,10 @@ ShardedEngine::ShardedEngine(Network& net)
     p->s = s;
     p->sim = std::make_unique<Simulator>();
     p->sim->set_shard_context(this, s);
-    p->overflow.resize(k);
-    p->overflow_head.assign(k, 0);
-    p->overflow_pressure.assign(k, 0);
-    p->in.resize(k);
+    p->out.resize(k);
     pollers_.push_back(std::move(p));
   }
   control_.set_shard_context(this, Simulator::kControlShard);
-  rings_.resize(k * k);
-  for (int src = 0; src < num_shards_; ++src) {
-    for (int dst = 0; dst < num_shards_; ++dst) {
-      if (src == dst) continue;
-      rings_[static_cast<std::size_t>(src) * k + static_cast<std::size_t>(dst)] =
-          std::make_unique<Ring>(kRingCapacity);
-    }
-  }
   threads_.reserve(static_cast<std::size_t>(num_reactors_ - 1));
   for (int r = 1; r < num_reactors_; ++r)
     threads_.emplace_back([this, r] { worker_main(r); });
@@ -121,7 +101,7 @@ void ShardedEngine::post(std::int32_t src_shard, std::int32_t dst_shard,
   Poller& p = *pollers_[static_cast<std::size_t>(src_shard)];
   SPINELESS_DCHECK(e.t >= p.lane_floor);
   ++p.handoffs;
-  lane_push(p, dst_shard, ev);
+  p.out[static_cast<std::size_t>(dst_shard)][p.epoch & 1].push_back(ev);
 }
 
 void ShardedEngine::post_global(std::int32_t src_shard, const RoutedEvent& e) {
@@ -163,49 +143,15 @@ std::uint64_t ShardedEngine::events_processed() const {
 ShardedEngine::Metrics ShardedEngine::metrics() const {
   Metrics m;
   m.central_plans = central_plans_;
-  m.ring_growths = ring_growths_;
-  m.max_ring_occupancy = retired_ring_occupancy_;
   if (!pollers_.empty()) m.windows = pollers_[0]->windows;
-  for (const auto& p : pollers_) m.ring_handoffs += p->handoffs;
-  for (const auto& r : rings_) {
-    if (r == nullptr) continue;
-    if (r->max_occupancy() > m.max_ring_occupancy)
-      m.max_ring_occupancy = r->max_occupancy();
-    if (r->capacity() > m.ring_capacity) m.ring_capacity = r->capacity();
-  }
+  for (const auto& p : pollers_) m.handoffs += p->handoffs;
   for (const ReactorStats& rs : reactor_stats_) m.spin_waits += rs.spins;
   return m;
-}
-
-void ShardedEngine::grow_pressured_rings() {
-  for (int src = 0; src < num_shards_; ++src) {
-    Poller& p = *pollers_[static_cast<std::size_t>(src)];
-    for (int dst = 0; dst < num_shards_; ++dst) {
-      if (dst == src) continue;
-      std::uint64_t& pressure =
-          p.overflow_pressure[static_cast<std::size_t>(dst)];
-      if (pressure == 0) continue;
-      pressure = 0;
-      auto& slot = rings_[static_cast<std::size_t>(src) *
-                              static_cast<std::size_t>(num_shards_) +
-                          static_cast<std::size_t>(dst)];
-      const std::size_t cap = slot->capacity();
-      if (cap >= kMaxRingCapacity) continue;
-      // Empty between rounds (every producer flushed, every consumer
-      // merged), so the swap cannot lose or reorder events.
-      SPINELESS_DCHECK(slot->empty());
-      if (slot->max_occupancy() > retired_ring_occupancy_)
-        retired_ring_occupancy_ = slot->max_occupancy();
-      slot = std::make_unique<Ring>(cap * 2);
-      ++ring_growths_;
-    }
-  }
 }
 
 void ShardedEngine::run_until(Time deadline) {
   SPINELESS_DCHECK(deadline >= deadline_);
   deadline_ = deadline;
-  grow_pressured_rings();
   plan();
   if (plan_.phase == Phase::kStop) return;  // nothing due: clocks parked
   for (const auto& p : pollers_) adopt_plan(*p);
@@ -275,30 +221,13 @@ void ShardedEngine::reactor_main(int reactor) {
 bool ShardedEngine::poll(Poller& p) {
   switch (p.st) {
     case PState::kRun: {
-      // Opportunistic ring drain (to staging only) keeps remote producers'
-      // rings from backing up while we execute.
-      drain_rings(p, kDrainBatch);
       const bool more =
           p.phase == Phase::kRunKey
               ? p.sim->run_until_key_bounded(p.key_t, p.key_prio, kRunBatch)
               : p.sim->run_until_bounded(p.win_deadline, kRunBatch);
       if (more) return true;  // budget exhausted; resume next poll
-      if (!p.sentinels_sent) {
-        // Epoch boundary marker per outgoing lane: everything this window
-        // produced for dst precedes it in FIFO order.
-        const Simulator::Event sentinel{0, p.epoch, nullptr, p.epoch};
-        for (int dst = 0; dst < num_shards_; ++dst)
-          if (dst != p.s) lane_push(p, dst, sentinel);
-        p.sentinels_sent = true;
-      }
-      p.st = PState::kFlush;
-      [[fallthrough]];
-    }
-    case PState::kFlush: {
-      if (!flush_overflow(p)) {
-        drain_rings(p, kDrainBatch);
-        return false;  // a consumer is behind; its poller runs next
-      }
+      // Every post of this window is in out[*][epoch & 1]: hand them all
+      // off at once.
       slots_[static_cast<std::size_t>(p.s)].produced.store(
           p.epoch, std::memory_order_release);
       p.st = PState::kMergeDecide;
@@ -307,10 +236,8 @@ bool ShardedEngine::poll(Poller& p) {
     case PState::kMergeDecide: {
       for (int j = 0; j < num_shards_; ++j) {
         if (slots_[static_cast<std::size_t>(j)].produced.load(
-                std::memory_order_acquire) < p.epoch) {
-          drain_rings(p, kDrainBatch);
+                std::memory_order_acquire) < p.epoch)
           return false;
-        }
       }
       merge_epoch(p);
       publish_min(p);
@@ -339,82 +266,20 @@ bool ShardedEngine::poll(Poller& p) {
   return false;
 }
 
-void ShardedEngine::lane_push(Poller& p, int dst, const Simulator::Event& e) {
-  std::vector<Simulator::Event>& ovf =
-      p.overflow[static_cast<std::size_t>(dst)];
-  // A full ring never blocks: order is preserved by routing every push
-  // through the overflow once it is non-empty. Every parked event counts as
-  // growth pressure on the lane (read at the next quiescent boundary).
-  if (!ovf.empty() || !ring(p.s, dst).try_push(e)) {
-    ovf.push_back(e);
-    ++p.overflow_pressure[static_cast<std::size_t>(dst)];
-  }
-}
-
-bool ShardedEngine::flush_overflow(Poller& p) {
-  bool all = true;
-  for (int dst = 0; dst < num_shards_; ++dst) {
-    std::vector<Simulator::Event>& ovf =
-        p.overflow[static_cast<std::size_t>(dst)];
-    if (ovf.empty()) continue;
-    std::size_t& head = p.overflow_head[static_cast<std::size_t>(dst)];
-    Ring& r = ring(p.s, dst);
-    while (head < ovf.size() && r.try_push(ovf[head])) ++head;
-    if (head == ovf.size()) {
-      ovf.clear();
-      head = 0;
-    } else {
-      all = false;
-    }
-  }
-  return all;
-}
-
-std::size_t ShardedEngine::drain_rings(Poller& p, std::size_t max) {
-  std::size_t n = 0;
-  for (int src = 0; src < num_shards_; ++src) {
-    if (src == p.s) continue;
-    Stage& stg = p.in[static_cast<std::size_t>(src)];
-    n += ring(src, p.s).drain(max, [&stg](const Simulator::Event& e) {
-      stg.events.push_back(e);
-    });
-  }
-  return n;
-}
-
 void ShardedEngine::merge_epoch(Poller& p) {
-  // Deterministic merge: fixed source order, each lane consumed exactly up
-  // to this epoch's sentinel. Which events land in the heap at epoch e is
-  // therefore a pure function of the event streams — independent of when
-  // the opportunistic drains ran or how far ahead a producer raced.
+  // Deterministic merge: fixed source order, each lane's epoch buffer in
+  // post order. produced >= epoch was acquired for every source, so each
+  // buffer is complete, and its producer cannot touch it again before our
+  // produced >= epoch + 1 (see the header comment) — clearing it here is
+  // what frees it for window epoch + 2.
+  const std::size_t slot = p.epoch & 1;
   for (int src = 0; src < num_shards_; ++src) {
     if (src == p.s) continue;
-    Stage& stg = p.in[static_cast<std::size_t>(src)];
-    Ring& r = ring(src, p.s);
-    // produced >= epoch was acquired: everything this epoch needs —
-    // including the sentinel — is already in the ring. Pull it all.
-    while (r.drain(kDrainBatch, [&stg](const Simulator::Event& e) {
-             stg.events.push_back(e);
-           }) != 0) {
-    }
-    for (;;) {
-      SPINELESS_DCHECK(stg.head < stg.events.size());
-      const Simulator::Event e = stg.events[stg.head++];
-      if (is_sentinel(e)) {
-        SPINELESS_DCHECK(e.ctx == p.epoch);
-        break;
-      }
-      p.sim->push_event(e);
-    }
-    if (stg.head == stg.events.size()) {
-      stg.events.clear();
-      stg.head = 0;
-    } else if (stg.head > 1024) {
-      stg.events.erase(stg.events.begin(),
-                       stg.events.begin() +
-                           static_cast<std::ptrdiff_t>(stg.head));
-      stg.head = 0;
-    }
+    std::vector<Simulator::Event>& lane =
+        pollers_[static_cast<std::size_t>(src)]
+            ->out[static_cast<std::size_t>(p.s)][slot];
+    for (const Simulator::Event& e : lane) p.sim->push_event(e);
+    lane.clear();
   }
 }
 
@@ -567,7 +432,6 @@ void ShardedEngine::adopt_window(Poller& p, Phase phase, Time win_deadline,
   p.lane_floor = lane_floor;
   p.x_next = x_next;
   p.force_slow = force_slow;
-  p.sentinels_sent = false;
   ++p.epoch;
   ++p.windows;
   p.st = PState::kRun;
@@ -583,8 +447,8 @@ void ShardedEngine::plan() {
   }
   for (;;) {
     // Earliest pending key across the shard heaps. This is exact, not a
-    // bound: all heaps are quiescent, every ring and staging buffer is
-    // fully merged, so nothing below it can still appear.
+    // bound: all heaps are quiescent and every lane is fully merged, so
+    // nothing below it can still appear.
     bool have_min = false;
     Time tmin = 0;
     std::uint64_t pmin = 0;

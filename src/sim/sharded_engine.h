@@ -1,8 +1,8 @@
 // Deterministic intra-cell parallelism: a conservative parallel
 // discrete-event engine over a sharded Network, structured as an
 // SPDK-style reactor — persistent per-shard pollers multiplexed onto a
-// small set of reactor threads, with lock-free SPSC ring handoff instead
-// of the old two-barrier lockstep windows.
+// small set of reactor threads, with one hand-off per window instead of
+// the old two-barrier lockstep windows.
 //
 // The Network block-partitions its switches (and their hosts, NICs, and
 // flows) into K shards; each shard gets its own Simulator (event heap) and
@@ -23,17 +23,21 @@
 // which is what makes --intra_jobs=2 nearly free where the barrier engine
 // paid two futex rendezvous per window.
 //
-// Cross-shard handoff. Each (src, dst) pair owns a lock-free SPSC ring
-// (util/spsc_ring.h). A full ring never blocks: the producer parks the
-// event in a per-lane overflow vector and flushes it opportunistically.
-// At the end of its window each shard pushes one *epoch sentinel* per
-// outgoing lane and publishes produced = e (release). A consumer merges
-// lane events into its heap only up to its own epoch's sentinel, in fixed
-// source order — so the set and order of merged events per window is a
-// pure function of the event streams, independent of when rings are
-// drained. Ring drains between event batches only move events into a
-// consumer-local staging buffer; the heap itself changes only at the
-// deterministic merge point.
+// Cross-shard handoff. Each (src, dst) lane is a pair of plain vectors
+// owned by the producing poller, out[dst][epoch & 1]: a post during
+// window e appends to buffer e & 1. At the end of its window each shard
+// publishes produced = e (release). A consumer merges at epoch e only
+// after acquiring every produced >= e, walking the sources in fixed order
+// and pushing each lane's buffer e & 1 into its heap in append order, then
+// clearing it — so the set and order of merged events per window is a
+// pure function of the event streams. No further synchronization is
+// needed: the producer writes buffer e & 1 again only in window e + 2, and
+// it enters that window only after its own merge of e + 1, which first
+// acquires the consumer's produced >= e + 1 — published only after the
+// consumer's merge of e (every window, fast, slow or central, passes
+// through that merge). So the consumer's reads and clear of the buffer
+// happen-before the producer's next write to it, and the producer's
+// writes happen-before the consumer's reads.
 //
 // Window advance. Windows are planned *decentrally*: after merging epoch
 // e every shard publishes its post-merge heap minimum (merged = e,
@@ -65,7 +69,7 @@
 // Determinism. Event priorities are (scheduler oid, counter) pairs —
 // globally unique and independent of thread interleaving (simulator.h) —
 // so each heap pops a total order identical to the serial engine's
-// subsequence for that shard, and ring events carry the exact keys the
+// subsequence for that shard, and lane events carry the exact keys the
 // serial run would have used. Together with the deterministic merge sets
 // and the exact global interleaving, results are byte-identical to the
 // serial engine for any intra_jobs and any reactor_threads.
@@ -77,6 +81,7 @@
 // (outer) x (--intra_jobs) accordingly.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -87,7 +92,6 @@
 
 #include "sim/network.h"
 #include "sim/simulator.h"
-#include "util/spsc_ring.h"
 
 namespace spineless::sim {
 
@@ -123,23 +127,17 @@ class ShardedEngine : public ShardRouter {
   // between run_until calls (quiescent, like the checkpoint accessors).
   struct Metrics {
     std::uint64_t windows = 0;        // windows executed (epochs advanced)
-    std::uint64_t ring_handoffs = 0;  // cross-shard events pushed via rings
-    std::uint64_t max_ring_occupancy = 0;  // peak ring fill, any lane
+    std::uint64_t handoffs = 0;       // cross-shard events posted to lanes
     std::uint64_t spin_waits = 0;     // no-progress reactor passes
     std::uint64_t central_plans = 0;  // rendezvous plans (globals/jumps/stop)
-    // Adaptive ring sizing: lanes whose producer hit the overflow vector
-    // double their ring at the next quiescent boundary (geometric growth,
-    // bounded). ring_capacity reports the largest lane the run settled on.
-    std::uint64_t ring_capacity = 0;
-    std::uint64_t ring_growths = 0;
   };
   Metrics metrics() const;
 
   // --- Checkpoint support (sim/checkpoint.h). All of these are only
   // valid between run_until calls: the reactors are parked (run_until's
   // done_count_ acquire-wait ordered their last writes before our reads),
-  // every ring, staging buffer, and overflow lane is empty, and every
-  // clock sits at the last deadline. ---
+  // every lane buffer is merged and empty, and every clock sits at the
+  // last deadline. ---
   const Simulator& control() const noexcept { return control_; }
   Simulator& shard_mut(int s) { return *pollers_[static_cast<std::size_t>(s)]->sim; }
   Time now() const noexcept { return control_.now(); }
@@ -159,7 +157,6 @@ class ShardedEngine : public ShardRouter {
   // non-blocking slice per poll() call.
   enum class PState {
     kRun,          // executing the window (budgeted slices)
-    kFlush,        // pushing overflow + epoch sentinels into the rings
     kMergeDecide,  // await all produced >= e, merge, publish min, decide
     kAwaitMerged,  // slow path: await all merged >= e, global-min decide
     kAwaitPlan,    // parked at the central rendezvous
@@ -173,31 +170,22 @@ class ShardedEngine : public ShardRouter {
     }
   };
 
-  using Ring = util::SpscRing<Simulator::Event>;
-
   // Per-shard published protocol state, padded so one shard's handshake
   // stores never false-share with a neighbor's. The plain fields piggyback
   // on the release stores of the epoch counters: min_* is published by
   // merged, and is only overwritten at epoch e+1 after every reader's
   // produced counter passed e+1 — which happens-after their epoch-e reads.
   struct alignas(64) Slot {
-    std::atomic<std::uint64_t> produced{0};  // windows fully run + flushed
+    std::atomic<std::uint64_t> produced{0};  // windows fully run
     std::atomic<std::uint64_t> merged{0};    // windows fully merged
     Time min_t = 0;           // post-merge heap minimum at epoch `merged`
     std::uint64_t min_prio = 0;
     bool has_min = false;
   };
 
-  // Consumer-side staging for one incoming lane: ring drains append here
-  // at any time; the deterministic merge consumes up to the epoch
-  // sentinel. `head` indexes the first unconsumed element.
-  struct Stage {
-    std::vector<Simulator::Event> events;
-    std::size_t head = 0;
-  };
-
-  // One shard's poller: the state machine plus its producer/consumer lane
-  // state. Owned exclusively by its reactor thread while a round runs.
+  // One shard's poller: the state machine plus its outgoing lanes. Owned
+  // by its reactor thread while a round runs, except that a consumer's
+  // merge reads and clears out[consumer][e & 1] (see the header comment).
   struct Poller {
     int s = 0;
     std::unique_ptr<Simulator> sim;
@@ -213,18 +201,11 @@ class ShardedEngine : public ShardRouter {
     Time lane_floor = 0;    // lower bound every outgoing post must respect
     Time x_next = 0;        // fixed-step start of the next window (= end)
     bool force_slow = false;    // kRunKey windows must re-plan centrally
-    bool sentinels_sent = false;
     std::uint64_t plan_seen = 0;  // plan_gen_ already adopted
 
-    // Producer side: per-dst overflow for full rings (index cursor avoids
-    // pop-front churn). overflow_pressure counts events parked per lane
-    // since the last quiescent boundary — the ring-growth signal.
-    std::vector<std::vector<Simulator::Event>> overflow;
-    std::vector<std::size_t> overflow_head;
-    std::vector<std::uint64_t> overflow_pressure;
-
-    // Consumer side: per-src staging.
-    std::vector<Stage> in;
+    // Outgoing lanes: out[dst][epoch & 1] holds window epoch's posts to
+    // dst in post order (out[s] stays empty).
+    std::vector<std::array<std::vector<Simulator::Event>, 2>> out;
 
     // Metrics (plain: read only while quiescent).
     std::uint64_t windows = 0;
@@ -261,14 +242,8 @@ class ShardedEngine : public ShardRouter {
 
   void worker_main(int reactor);
   void reactor_main(int reactor);
-  // Quiescent boundary only (every ring empty): doubles any lane whose
-  // producer overflowed since the last call, up to the growth bound.
-  void grow_pressured_rings();
   bool poll(Poller& p);  // one non-blocking slice; true if progress
-  void lane_push(Poller& p, int dst, const Simulator::Event& e);
-  bool flush_overflow(Poller& p);  // true when every lane drained
-  std::size_t drain_rings(Poller& p, std::size_t max);  // rings -> staging
-  void merge_epoch(Poller& p);  // staging -> heap up to epoch sentinel
+  void merge_epoch(Poller& p);  // every source's epoch lane -> heap
   void publish_min(Poller& p);
   GKey effective_global(std::uint64_t epoch);
   // Decision steps; each either installs the next window on p (st = kRun)
@@ -284,15 +259,6 @@ class ShardedEngine : public ShardRouter {
   // kStop) via plan_gen_. Every heap is quiescent and fully merged here.
   void plan();
 
-  Ring& ring(int src, int dst) {
-    return *rings_[static_cast<std::size_t>(src) *
-                       static_cast<std::size_t>(num_shards_) +
-                   static_cast<std::size_t>(dst)];
-  }
-  static bool is_sentinel(const Simulator::Event& e) noexcept {
-    return e.sink == nullptr;
-  }
-
   Network& net_;
   const int num_shards_;
   const int num_reactors_;
@@ -300,7 +266,6 @@ class ShardedEngine : public ShardRouter {
 
   std::vector<std::unique_ptr<Poller>> pollers_;
   Simulator control_;
-  std::vector<std::unique_ptr<Ring>> rings_;  // rings_[src * K + dst]
   std::vector<Slot> slots_;
 
   // Pending global events in key order, plus a mutex-guarded inbox for the
@@ -318,10 +283,6 @@ class ShardedEngine : public ShardRouter {
   std::atomic<int> central_arrived_{0};
   Time deadline_ = 0;  // current run_until target
   std::uint64_t central_plans_ = 0;
-  std::uint64_t ring_growths_ = 0;
-  // Peak occupancies of rings retired by growth, so metrics() keeps the
-  // all-time maximum across swaps.
-  std::uint64_t retired_ring_occupancy_ = 0;
 
   // Per-reactor spin-wait counters (padded; summed while quiescent).
   struct alignas(64) ReactorStats {

@@ -189,7 +189,7 @@ TEST(FaultInjectorConfig, ValidateRejectsRepairDelayBelowLinkDelay) {
   FaultInjectorConfig cfg;
   cfg.repair_delay = 10;  // ps, far below any real link delay
   try {
-    cfg.validate(/*link_delay=*/units::kMicrosecond);
+    cfg.validate();
     FAIL() << "validate accepted repair_delay < link_delay";
   } catch (const Error& e) {
     const std::string what = e.what();
@@ -203,7 +203,7 @@ TEST(FaultInjectorConfig, ValidateRejectsNonPositiveHelloInterval) {
   FaultInjectorConfig cfg;
   cfg.hello_interval = 0;
   try {
-    cfg.validate(/*link_delay=*/0);
+    cfg.validate();
     FAIL() << "validate accepted hello_interval == 0";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("hello_interval must be positive"),
@@ -216,7 +216,7 @@ TEST(FaultInjectorConfig, ValidateRejectsHoldCountBelowOne) {
   FaultInjectorConfig cfg;
   cfg.hold_count = 0;
   try {
-    cfg.validate(/*link_delay=*/0);
+    cfg.validate();
     FAIL() << "validate accepted hold_count == 0";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("hold_count must be >= 1"),
@@ -240,7 +240,7 @@ TEST(FaultInjectorConfig, ArmValidates) {
 
 TEST(FaultInjectorConfig, ValidateAcceptsDefaults) {
   FaultInjectorConfig cfg;
-  EXPECT_NO_THROW(cfg.validate(/*link_delay=*/units::kMicrosecond));
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ TEST(ShardedDeterminism, MatchesSerialOnLeafSpine) {
 // caller thread (cooperative reactors); forcing one real reactor thread
 // per shard must not change a byte. This is the cell the TSAN preset
 // actually interleaves — without the override, a 1-CPU CI box would
-// never exercise the cross-thread ring handoff.
+// never exercise the cross-thread lane handoff.
 TEST(ShardedDeterminism, ForcedReactorThreadsMatchSerial) {
   const auto g = topo::make_dring(5, 2, 4).graph;
   const auto serial = run_cell(g, RoutingMode::kEcmp, 1);
@@ -106,6 +106,7 @@ struct RunPrint {
   std::int64_t delivered = 0;
   std::uint64_t events = 0;
   std::vector<QueueMonitor::Sample> samples;
+  ShardedEngine::Metrics metrics;  // sharded runs only
 };
 
 // A mid-run link failure (blackhole + reconvergence) plus a periodic
@@ -146,6 +147,7 @@ RunPrint run_failure_scenario(int intra, int reactor_threads = 0) {
     setup(engine.control());
     engine.run_until(deadline);
     out.events = engine.events_processed();
+    out.metrics = engine.metrics();
   }
 
   for (std::size_t i = 0; i < driver.num_flows(); ++i) {
@@ -209,6 +211,23 @@ TEST(ShardedDeterminism, FailureInterleaveWithForcedReactorThreads) {
     EXPECT_EQ(serial.samples[i].t, threaded.samples[i].t);
     EXPECT_EQ(serial.samples[i].total_bytes, threaded.samples[i].total_bytes);
     EXPECT_EQ(serial.samples[i].max_bytes, threaded.samples[i].max_bytes);
+  }
+}
+
+// The engine's own counters are a function of the event streams too: the
+// window sequence, the cross-shard handoffs and the central plans may not
+// depend on how many reactor threads back the shards (spin_waits may).
+TEST(ShardedDeterminism, EngineCountersMatchAcrossReactorThreads) {
+  for (const int intra : kIntraSweep) {
+    SCOPED_TRACE("intra_jobs=" + std::to_string(intra));
+    const ShardedEngine::Metrics one =
+        run_failure_scenario(intra, /*reactor_threads=*/1).metrics;
+    const ShardedEngine::Metrics many =
+        run_failure_scenario(intra, /*reactor_threads=*/intra).metrics;
+    EXPECT_GT(one.handoffs, 0u);
+    EXPECT_EQ(one.windows, many.windows);
+    EXPECT_EQ(one.handoffs, many.handoffs);
+    EXPECT_EQ(one.central_plans, many.central_plans);
   }
 }
 
