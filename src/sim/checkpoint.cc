@@ -258,6 +258,13 @@ void CheckpointSession::event_fields(Io& io, const PacketCodec& codec,
     }
     io.i64(e.t);
     io.u64(e.prio);
+    if constexpr (!Io::kSaving) {
+      // Events travel in strict (t, prio) order: restore installs them as
+      // a heap (a sorted array is one) or a key-ordered set, and a
+      // permuted or duplicated list would pop out of order.
+      if (&e != events.data() && !(&e - 1)->before(e))
+        io.fail("pending events not in strict (t, prio) order");
+    }
     io.u32(oid);
     io.u8(kind);
     if constexpr (!Io::kSaving) {
@@ -326,7 +333,8 @@ void CheckpointSession::walk(Io& io, EngineView eng, SummaryTotals& sum) {
       io.u64(root_key);
       io.u32(lazy_oid);
       if constexpr (Io::kSaving) {
-        event_fields(io, codec, sim.pending_events());
+        const std::vector<Simulator::Event> events = sim.pending_events();
+        event_fields(io, codec, events);
       } else {
         std::vector<Simulator::Event> events;
         event_fields(io, codec, events);

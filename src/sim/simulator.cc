@@ -1,51 +1,94 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
+
 namespace spineless::sim {
 
 bool Simulator::run_until(Time deadline) {
-  while (!heap_.empty() && heap_[0].t <= deadline) dispatch_top();
+  Top t = top();
+  for (; t.ev != nullptr && t.ev->t <= deadline; t = top()) dispatch(t);
   cur_key_ = &root_key_;
   if (now_ < deadline) now_ = deadline;
-  return !heap_.empty();
+  return t.ev != nullptr;
 }
 
+namespace {
+
+bool below(const Simulator::Event& e, Time t_bound, std::uint64_t prio_bound) {
+  return e.t < t_bound || (e.t == t_bound && e.prio < prio_bound);
+}
+
+}  // namespace
+
 void Simulator::run_until_key(Time t_bound, std::uint64_t prio_bound) {
-  while (!heap_.empty() &&
-         (heap_[0].t < t_bound ||
-          (heap_[0].t == t_bound && heap_[0].prio < prio_bound))) {
-    dispatch_top();
+  for (Top t = top(); t.ev != nullptr && below(*t.ev, t_bound, prio_bound);
+       t = top()) {
+    dispatch(t);
   }
   cur_key_ = &root_key_;
 }
 
 bool Simulator::run_until_bounded(Time deadline, int budget) {
-  while (budget > 0 && !heap_.empty() && heap_[0].t <= deadline) {
-    dispatch_top();
+  Top t = top();
+  for (; budget > 0 && t.ev != nullptr && t.ev->t <= deadline; t = top()) {
+    dispatch(t);
     --budget;
   }
   cur_key_ = &root_key_;
-  if (!heap_.empty() && heap_[0].t <= deadline) return true;
+  if (t.ev != nullptr && t.ev->t <= deadline) return true;
   if (now_ < deadline) now_ = deadline;
   return false;
 }
 
 bool Simulator::run_until_key_bounded(Time t_bound, std::uint64_t prio_bound,
                                       int budget) {
-  while (budget > 0 && !heap_.empty() &&
-         (heap_[0].t < t_bound ||
-          (heap_[0].t == t_bound && heap_[0].prio < prio_bound))) {
-    dispatch_top();
+  Top t = top();
+  for (; budget > 0 && t.ev != nullptr && below(*t.ev, t_bound, prio_bound);
+       t = top()) {
+    dispatch(t);
     --budget;
   }
   cur_key_ = &root_key_;
-  return !heap_.empty() &&
-         (heap_[0].t < t_bound ||
-          (heap_[0].t == t_bound && heap_[0].prio < prio_bound));
+  return t.ev != nullptr && below(*t.ev, t_bound, prio_bound);
 }
 
 void Simulator::run() {
-  while (!heap_.empty()) dispatch_top();
+  for (Top t = top(); t.ev != nullptr; t = top()) dispatch(t);
   cur_key_ = &root_key_;
+}
+
+std::vector<Simulator::Event> Simulator::pending_events() const {
+  std::vector<Event> events = heap_;
+  for (std::size_t i = 0; i < claimed_; ++i) {
+    const Fifo& f = fifos_[i];
+    for (std::size_t k = f.head; k != f.tail; ++k)
+      events.push_back(f.ring[k & (f.ring.size() - 1)]);
+  }
+  std::sort(events.begin(), events.end(),
+            [](const Event& a, const Event& b) { return a.before(b); });
+  return events;
+}
+
+void Simulator::restore_state(Time now, std::uint64_t processed,
+                              std::uint64_t root_key, std::uint32_t lazy_oid,
+                              std::vector<Event> events) {
+  heap_ = std::move(events);
+  for (Fifo& f : fifos_) f.head = f.tail = 0;
+  now_ = now;
+  processed_ = processed;
+  root_key_ = root_key;
+  lazy_oid_ = lazy_oid;
+  cur_key_ = &root_key_;
+}
+
+void Simulator::Fifo::grow() {
+  std::vector<Event> bigger(ring.empty() ? 256 : 2 * ring.size());
+  const std::size_t n = tail - head;
+  for (std::size_t k = 0; k < n; ++k)
+    bigger[k] = ring[(head + k) & (ring.size() - 1)];
+  ring = std::move(bigger);
+  head = 0;
+  tail = n;
 }
 
 void Simulator::dispatch_external(const Event& e) {

@@ -13,16 +13,27 @@
 // interleaving of *other* entities' executions, so the sharded parallel
 // engine (sharded_engine.h) reproduces it exactly and serial and sharded
 // runs execute the identical event sequence. Keys are globally unique
-// (oid, counter) pairs, which also makes the heap's pop order a total
+// (oid, counter) pairs, which also makes the queue's pop order a total
 // order. Within one scheduler, ties at equal time still fire in schedule
 // order, exactly like the old global-seq scheme.
 //
-// The queue is a hand-rolled 4-ary implicit heap rather than
-// std::priority_queue: events are popped and pushed once per packet hop, so
-// the shallower tree (half the levels of a binary heap, each level a cache
-// line of four 32-byte events) measurably raises simulator throughput.
+// The queue is a few fixed-delay FIFOs in front of a hand-rolled 4-ary
+// implicit heap. Almost every packet event is scheduled from inside a
+// dispatch at one of a handful of constant delays (link propagation, the
+// serialization of a full packet or of an ACK), so the first distinct
+// delays seen from a dispatch each claim a FIFO, and later events at that
+// delay are appended to it. now() never decreases, so a FIFO's times never
+// decrease either; an append only has to move back past equal-time entries
+// with a larger prio. Everything else — set-up pushes, barrier merges,
+// zero delays, other delays — goes to the heap, whose shallow tree (each
+// level a cache line of four 32-byte events) suits the far-future flow
+// starts and timers left to it. Dispatch takes the smaller of the heap top
+// and the FIFO heads, which is exactly the (t, prio) order a single heap
+// pops.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -151,7 +162,7 @@ class Simulator {
     schedule_at(now_ + dt, sink, ctx);
   }
 
-  bool empty() const noexcept { return heap_.empty(); }
+  bool empty() const noexcept { return top().ev == nullptr; }
 
   // Runs events with time <= deadline; returns true if events remain.
   // Advances now() to the deadline even if the queue drains first.
@@ -185,12 +196,13 @@ class Simulator {
   bool run_until_key_bounded(Time t_bound, std::uint64_t prio_bound,
                              int budget);
 
-  // Key of the earliest pending event; false if the heap is empty. Only
+  // Key of the earliest pending event; false if none is pending. Only
   // meaningful between runs (single-threaded phases of the engine).
   bool peek(Time* t, std::uint64_t* prio) const {
-    if (heap_.empty()) return false;
-    *t = heap_[0].t;
-    *prio = heap_[0].prio;
+    const Event* e = top().ev;
+    if (e == nullptr) return false;
+    *t = e->t;
+    *prio = e->prio;
     return true;
   }
 
@@ -198,9 +210,8 @@ class Simulator {
   // while this simulator is mid-dispatch (the engine calls it only at
   // barriers and during setup, when the simulator is quiescent).
   void push_event(const Event& e) {
-    SPINELESS_DCHECK(!top_hole_);
     SPINELESS_DCHECK(e.t >= now_);
-    push(e);
+    push_heap(e);
   }
 
   // Executes one externally held event (a global, on the engine's control
@@ -209,28 +220,21 @@ class Simulator {
   void dispatch_external(const Event& e);
 
   // --- Checkpoint support (sim/checkpoint.h) ---
-  // The raw pending-event array, in heap (array) order. Serializing and
-  // restoring it verbatim preserves the exact pop order, which is what
-  // makes restore + continue byte-identical. Only valid while quiescent
-  // (between runs).
-  const std::vector<Event>& pending_events() const noexcept { return heap_; }
+  // Every pending event, heap and FIFOs alike, in (t, prio) order: the
+  // order they would be dispatched in, independent of how the queue holds
+  // them. Only valid while quiescent (between runs).
+  std::vector<Event> pending_events() const;
   std::uint64_t root_prio_state() const noexcept { return root_key_; }
   std::uint32_t lazy_oid_state() const noexcept { return lazy_oid_; }
 
   // Replaces the full engine state on a freshly-constructed experiment.
-  // The pre-run heap holds only setup events (no owned payloads), so
-  // dropping it is leak-free; the restored heap array is installed as-is.
+  // The pre-run queue holds only setup events (no owned payloads), so
+  // dropping it is leak-free. `events` must be in strict (t, prio) order
+  // (the caller checks), and a sorted array is a valid heap, so it becomes
+  // the heap as-is and the FIFOs start empty.
   void restore_state(Time now, std::uint64_t processed,
                      std::uint64_t root_key, std::uint32_t lazy_oid,
-                     std::vector<Event> heap) {
-    SPINELESS_CHECK(!top_hole_);
-    heap_ = std::move(heap);
-    now_ = now;
-    processed_ = processed;
-    root_key_ = root_key;
-    lazy_oid_ = lazy_oid;
-    cur_key_ = &root_key_;
-  }
+                     std::vector<Event> events);
 
  private:
   std::uint64_t next_prio() {
@@ -244,33 +248,63 @@ class Simulator {
   // in another shard or is global); out-of-line, serial runs never get here.
   bool route_external(Time t, std::uint64_t prio, EventSink* sink,
                       std::uint64_t ctx);
-  // Pops and dispatches the top event, tracking the executing sink so
-  // schedule_at can stamp priorities with its (oid, counter).
-  void dispatch_top() {
-    const Event ev = heap_[0];
+  // The earliest pending event and where it sits: a FIFO index, or
+  // kFifos for the heap top. Computed once per dispatch — every run loop,
+  // peek and empty go through it, and dispatch() takes what it returned.
+  struct Top {
+    const Event* ev;  // nullptr when nothing is pending
+    std::size_t src;
+  };
+  Top top() const noexcept {
+    Top best{heap_.empty() ? nullptr : &heap_[0], kFifos};
+    for (std::size_t i = 0; i < claimed_; ++i) {
+      const Fifo& f = fifos_[i];
+      if (f.head == f.tail) continue;
+      const Event& e = f.front();
+      if (best.ev == nullptr || e.before(*best.ev)) best = {&e, i};
+    }
+    return best;
+  }
+
+  // Removes the top event from its source, then executes it, attributing
+  // scheduling done inside to its sink.
+  void dispatch(Top top) {
+    const Event ev = *top.ev;
+    if (top.src == kFifos) {
+      pop_heap();
+    } else {
+      ++fifos_[top.src].head;
+    }
     now_ = ev.t;
     ++processed_;
     cur_key_ = &ev.sink->prio_key_;
-    top_hole_ = true;  // the root slot may be reused by the first push
     ev.sink->on_event(*this, ev.ctx);
-    if (top_hole_) {
-      top_hole_ = false;
-      pop();
-    }
   }
 
   void push(const Event& e) {
-    // Replace-top: while the event being dispatched still occupies the
-    // root, the first push lands there directly — equivalent to pop-then-
-    // push but with a single sift-down instead of sift-down + sift-up.
-    // Most events (hop arrivals, serialization completions, ACK timers)
-    // schedule exactly one successor, so this is the common case.
-    if (top_hole_) {
-      top_hole_ = false;
-      heap_[0] = e;
-      sift_down(0);
-      return;
+    // Only events scheduled from inside a dispatch (cur_key_ is the
+    // executing sink's) may join a FIFO: now() is then the time of an event
+    // already popped, so nothing pending precedes e.t = now() + dt for
+    // dt > 0. Set-up pushes stay in the heap, so flow starts at scattered
+    // times cannot claim the FIFOs.
+    const Time dt = e.t - now_;
+    if (cur_key_ != &root_key_ && dt > 0) {
+      for (std::size_t i = 0; i < claimed_; ++i) {
+        if (fifos_[i].delay == dt) {
+          fifos_[i].append(e);
+          return;
+        }
+      }
+      if (claimed_ < kFifos) {
+        fifos_[claimed_].delay = dt;
+        fifos_[claimed_++].append(e);
+        return;
+      }
     }
+    push_heap(e);
+  }
+
+  void push_heap(const Event& e) {
     std::size_t i = heap_.size();
     heap_.push_back(e);
     while (i > 0) {
@@ -281,9 +315,12 @@ class Simulator {
     }
   }
 
-  void sift_down(std::size_t i) {
+  // Removes the minimum; heap_ must be non-empty.
+  void pop_heap() {
+    heap_[0] = heap_.back();
+    heap_.pop_back();
     const std::size_t n = heap_.size();
-    for (;;) {
+    for (std::size_t i = 0;;) {
       const std::size_t first = 4 * i + 1;
       if (first >= n) break;
       const std::size_t last = first + 4 < n ? first + 4 : n;
@@ -296,17 +333,43 @@ class Simulator {
     }
   }
 
-  // Removes the minimum; heap_ must be non-empty.
-  void pop() {
-    heap_[0] = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
-  }
+  // Events scheduled at one fixed delay, in (t, prio) order: a ring of
+  // power-of-two capacity, allocated on first use and doubled when full.
+  // head and tail count up without wrapping; masking maps them to slots.
+  struct Fifo {
+    Time delay = 0;  // 0 while unclaimed
+    std::vector<Event> ring;
+    std::size_t head = 0;
+    std::size_t tail = 0;
+
+    const Event& front() const noexcept {
+      return ring[head & (ring.size() - 1)];
+    }
+    // Times arrive non-decreasing, so e can only belong before entries at
+    // its own time with a larger prio: equal-time events scheduled by
+    // different sinks, dispatched in the reverse of their prio order.
+    void append(const Event& e) {
+      if (tail - head == ring.size()) grow();
+      const std::size_t mask = ring.size() - 1;
+      std::size_t i = tail++;
+      for (; i != head; --i) {
+        const Event& prev = ring[(i - 1) & mask];
+        if (!e.before(prev)) break;
+        ring[i & mask] = prev;
+      }
+      ring[i & mask] = e;
+    }
+    void grow();
+  };
+  // Fixed delays given a FIFO. The packet cells' first four are link
+  // propagation, the serialization of a data packet and of an ACK, and
+  // the retransmit timer's 1 ms floor; six FIFOs measured no faster.
+  // Further delays go to the heap.
+  static constexpr std::size_t kFifos = 4;
 
   std::vector<Event> heap_;  // 4-ary min-heap ordered by (t, prio)
-  // True while the root event is being dispatched and its slot may be
-  // reused by the next push (see push()).
-  bool top_hole_ = false;
+  std::array<Fifo, kFifos> fifos_;
+  std::size_t claimed_ = 0;  // fifos_[0, claimed_) have a delay
   Time now_ = 0;
   std::uint64_t processed_ = 0;
 

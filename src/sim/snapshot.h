@@ -37,7 +37,10 @@ namespace spineless::sim {
 
 inline constexpr char kSnapshotMagic[8] = {'S', 'P', 'N', 'L',
                                            'C', 'K', 'P', 'T'};
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+// Bumped whenever a byte of the format moves. Version 2 writes each
+// simulator's pending events in (t, prio) order, so the bytes no longer
+// depend on how the event queue lays them out.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 // 64-bit FNV-1a over `bytes` in order: the snapshot checksum, and the
 // serving layer's content hashes.

@@ -11,12 +11,14 @@
 //      sinks, boundary re-pins,
 //  (d) spinelessd's warm-state files (warm checkpoint + baseline scalars).
 // A codec change that moves a single byte fails here, and restoring a
-// snapshot and saving again must reproduce it byte for byte.
+// snapshot and saving again must reproduce it byte for byte. Re-pin only
+// with a kSnapshotVersion bump.
 //
 // Corruption: a checksum-resealed snapshot whose counts or link ids are
-// out of range must be refused with util Error naming the section — never
-// a multi-terabyte allocation or a crash (the robustness label puts these
-// under the ASan and UBSan builds too).
+// out of range, or whose pending events are out of (t, prio) order, must
+// be refused with util Error naming the section — never a multi-terabyte
+// allocation, a crash or a silently misordered run (the robustness label
+// puts these under the ASan and UBSan builds too).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -189,7 +191,7 @@ std::string packet_cell_bytes(const core::FctConfig& cfg, bool faults,
 
 TEST(SnapshotGolden, FctCellSerial) {
   const std::string bytes = packet_cell_bytes(small_cfg(1), false, 1);
-  EXPECT_EQ(fnv1a(bytes), 843888506349958380u) << bytes.size() << " bytes";
+  EXPECT_EQ(fnv1a(bytes), 11084621212075929267u) << bytes.size() << " bytes";
 
   // The hand-built cell is the one run_fct_experiment checkpoints.
   const std::string path = tmp_path("fct_serial");
@@ -210,7 +212,7 @@ TEST(SnapshotGolden, FctCellSerial) {
 
 TEST(SnapshotGolden, FctCellShardedWithFaultsAndFlowlets) {
   const std::string bytes = packet_cell_bytes(fault_cfg(), true, 4);
-  EXPECT_EQ(fnv1a(bytes), 4667413007120444221u) << bytes.size() << " bytes";
+  EXPECT_EQ(fnv1a(bytes), 9616548845634263810u) << bytes.size() << " bytes";
   EXPECT_EQ(packet_cell_bytes(fault_cfg(), true, 0, bytes), bytes);
 }
 
@@ -276,7 +278,7 @@ TEST(SnapshotGolden, HybridCellWithFaults) {
   const std::string path = tmp_path("hybrid");
   util::remove_file(path);
   const std::string bytes = cell.bytes_at(path, 40, false);
-  EXPECT_EQ(fnv1a(bytes), 3269734339380786178u) << bytes.size() << " bytes";
+  EXPECT_EQ(fnv1a(bytes), 1900655170794099669u) << bytes.size() << " bytes";
 
   // The hybrid loop owns its session, so the round trip goes through a
   // kill one window earlier: restoring window 39 and saving at window 40
@@ -300,8 +302,8 @@ TEST(SnapshotGolden, ServiceWarmStateFiles) {
   std::string warm, baseline;
   ASSERT_TRUE(util::read_file(dir + "/service_warm.snap", &warm));
   ASSERT_TRUE(util::read_file(dir + "/service_baseline.snap", &baseline));
-  EXPECT_EQ(fnv1a(warm), 15355231547753989048u) << warm.size() << " bytes";
-  EXPECT_EQ(fnv1a(baseline), 15944164115282872016u)
+  EXPECT_EQ(fnv1a(warm), 6436102065824224474u) << warm.size() << " bytes";
+  EXPECT_EQ(fnv1a(baseline), 16788157523007591054u)
       << baseline.size() << " bytes";
 
   // The baseline file is a pure function of the warm hash and the ten
@@ -332,6 +334,43 @@ TEST(SnapshotCorruption, HugeEventCountIsRefused) {
   patch_u64_at(&bytes, kSectionEngineTag, 28, std::uint64_t{1} << 37);
   expect_refused([&] { packet_cell_bytes(small_cfg(1), false, 0, bytes); },
                  "ENGN");
+}
+
+// Events travel in strict (t, prio) order and restore installs them as a
+// heap. Event 0 follows the count at byte 36 and starts with its time;
+// moving it past every other event must be refused, not popped late.
+TEST(SnapshotCorruption, UnsortedEventListIsRefused) {
+  std::string bytes = packet_cell_bytes(small_cfg(1), false, 1);
+  const std::size_t engn = find_section(bytes, kSectionEngineTag).first;
+  ASSERT_GE(get_le(bytes, engn + 28, 8), 2u);
+  patch_u64_at(&bytes, kSectionEngineTag, 36, std::uint64_t{1} << 62);
+  expect_refused([&] { packet_cell_bytes(small_cfg(1), false, 0, bytes); },
+                 "ENGN");
+}
+
+// spinelessd's warm file from before the version bump (version 1, resealed)
+// is dropped and rebuilt, not restored and not a startup failure.
+TEST(SnapshotCorruption, VersionOneWarmFileIsRebuilt) {
+  const std::string dir = tmp_path("service_v1");
+  service::ServiceConfig cfg;
+  cfg.snapshot_dir = dir;
+  const std::string warm_path = dir + "/service_warm.snap";
+  util::remove_file(warm_path);
+  service::WarmState::build(cfg);
+  std::string fresh;
+  ASSERT_TRUE(util::read_file(warm_path, &fresh));
+  ASSERT_EQ(get_le(fresh, 8, 4), kSnapshotVersion);
+  std::string old = fresh;
+  old[8] = 1;  // the u32 version after the magic
+  const std::size_t payload_end = old.size() - 8;
+  put_le64(&old, payload_end, fnv1a({old.data(), payload_end}));
+  ASSERT_TRUE(util::atomic_write_file(warm_path, old));
+
+  const auto rebuilt = service::WarmState::build(cfg);
+  EXPECT_FALSE(rebuilt->restored_from_disk());
+  std::string now;
+  ASSERT_TRUE(util::read_file(warm_path, &now));
+  EXPECT_EQ(now, fresh);
 }
 
 // A NETW link set holding id -1 (LinkSet::insert would size itself for
