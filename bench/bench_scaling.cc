@@ -23,13 +23,12 @@
 namespace spineless {
 namespace {
 
-int run(const std::string& path, bool pin_reactors) {
+int run(const std::string& path) {
   const unsigned hw_raw = std::thread::hardware_concurrency();
   const int hw = hw_raw == 0 ? 1 : static_cast<int>(hw_raw);
   std::vector<bench::EventThroughput> cells;
   for (int intra : {1, 2, 4, 7})
-    cells.push_back(
-        bench::best_event_throughput(intra, /*timed_runs=*/3, pin_reactors));
+    cells.push_back(bench::best_event_throughput(intra, /*timed_runs=*/3));
   const double serial_rate = cells.front().events_per_sec();
 
   JsonWriter w;
@@ -47,9 +46,6 @@ int run(const std::string& path, bool pin_reactors) {
     w.begin_object();
     w.kv("intra_jobs", c.intra_jobs);
     w.kv("cores_used", c.cores_used);
-    // Affinity is a pure scheduling hint (results are byte-identical either
-    // way) but it changes the throughput figures, so each cell records it.
-    w.kv("pin_reactors", pin_reactors);
     w.kv("events", c.events);
     w.kv("wall_s", c.wall_s);
     w.kv("events_per_sec", rate);
@@ -89,12 +85,7 @@ int run(const std::string& path, bool pin_reactors) {
 
 int main(int argc, char** argv) {
   std::string path = "BENCH_scaling.json";
-  bool pin_reactors = false;
-  for (int i = 1; i < argc; ++i) {
+  for (int i = 1; i < argc; ++i)
     if (std::strncmp(argv[i], "--json=", 7) == 0) path = argv[i] + 7;
-    if (std::strcmp(argv[i], "--pin_reactors") == 0 ||
-        std::strcmp(argv[i], "--pin_reactors=1") == 0)
-      pin_reactors = true;
-  }
-  return spineless::run(path, pin_reactors);
+  return spineless::run(path);
 }

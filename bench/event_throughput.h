@@ -33,12 +33,10 @@ struct EventThroughput {
 };
 
 // One run of the scenario on the engine intra_jobs selects.
-inline EventThroughput run_event_throughput(int intra_jobs,
-                                            bool pin_reactors = false) {
+inline EventThroughput run_event_throughput(int intra_jobs) {
   const auto d = topo::make_dring(5, 2, 4);
   sim::NetworkConfig cfg;
   cfg.intra_jobs = intra_jobs;
-  cfg.pin_reactors = pin_reactors;
   sim::Network net(d.graph, cfg);
   sim::FlowDriver driver(net, sim::TcpConfig{});
   Rng rng(7);
@@ -71,12 +69,11 @@ inline EventThroughput run_event_throughput(int intra_jobs,
 // One warm-up run primes caches and the allocator; the fastest of the
 // timed runs is reported (the minimum-interference run is the repeatable
 // one on a shared machine).
-inline EventThroughput best_event_throughput(int intra_jobs, int timed_runs,
-                                             bool pin_reactors = false) {
-  run_event_throughput(intra_jobs, pin_reactors);  // warm-up
+inline EventThroughput best_event_throughput(int intra_jobs, int timed_runs) {
+  run_event_throughput(intra_jobs);  // warm-up
   EventThroughput best;
   for (int run = 0; run < timed_runs; ++run) {
-    const EventThroughput r = run_event_throughput(intra_jobs, pin_reactors);
+    const EventThroughput r = run_event_throughput(intra_jobs);
     if (run == 0 || r.wall_s < best.wall_s) best = r;
   }
   return best;

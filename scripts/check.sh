@@ -31,12 +31,9 @@ cmake --build build
 echo "== static checks (spineless_lint) =="
 # The JSON artifacts (findings + cross-TU symbol index) are written even
 # when the run is clean, so CI always has a machine-readable record; the
-# exit code is the gate. --baseline makes the gate a ratchet: any finding
-# not explicitly accepted in tools/lint/lint_baseline.txt (shipped empty)
-# fails the run.
+# exit code is the gate: any finding fails the run.
 ./build/tools/lint/spineless_lint --root=. --json=lint_findings.json \
-  --index-dump=build/lint_index.json \
-  --baseline=tools/lint/lint_baseline.txt
+  --index-dump=build/lint_index.json
 # Justified NOLINTs are a ratchet too: the shipped tree carries 3 (the
 # reactor engine's two parked waits and the watchdog's poll loop), and no
 # path allowlist exempts any other atomic spin. Lower the ceiling when one
@@ -51,11 +48,12 @@ END { if (!found) { print "lint: no suppressed count in lint_findings.json"; exi
 ctest --test-dir build -L lint --output-on-failure
 
 echo "== perf smoke (reactor-engine overhead) =="
-# The sharded reactor engine must stay within 10% of the serial engine on
-# one core at intra_jobs=2 (the ROADMAP steady-state target is 5%; the
-# gate leaves headroom for shared-CI noise). One bench_micro process
-# alternates serial and intra_jobs=2 passes, 7 each, every pass at least
-# 100 ms of event loop, and the gate compares the best pass of each: a
+# The sharded reactor engine must stay within 10% of the serial engine at
+# intra_jobs=2 (the ROADMAP steady-state target is 5%; the gate leaves
+# headroom for shared-CI noise). The auto reactor count is min(shards,
+# cores): one thread on a 1-CPU host, two on a larger one. One bench_micro
+# process alternates serial and intra_jobs=2 passes, 7 each, every pass at
+# least 100 ms of event loop, and the gate compares the best pass of each: a
 # slow spell on a shared host then slows both engines, where separate
 # processes of ~10 ms runs swung the overhead from -31% to +28%.
 ./build/bench/bench_micro --intra_jobs=2 --json=perf_smoke_intra2.json

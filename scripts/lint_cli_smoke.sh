@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # CLI-contract smoke test for spineless_lint, run as a ctest (label lint).
 # Asserts the documented exit codes (0 clean / 1 findings / 2 config-or-IO
-# error), the JSON schema_version, index-dump byte determinism, and the
-# accept-then-ratchet baseline behavior.
+# error), the JSON schema_version and index-dump byte determinism.
 #
 #   scripts/lint_cli_smoke.sh <spineless_lint-binary> <repo-root>
 set -u
@@ -17,12 +16,12 @@ fail() {
   exit 1
 }
 
-# --- exit 0: the shipped tree is clean against the (empty) baseline ------
-"$BIN" --root="$ROOT" --baseline="$ROOT/tools/lint/lint_baseline.txt" \
+# --- exit 0: the shipped tree is clean ------------------------------------
+"$BIN" --root="$ROOT" \
   --json="$TMP/findings.json" --index-dump="$TMP/idx1.json" >/dev/null \
   || fail "clean tree must exit 0"
-grep -q '"schema_version": 2' "$TMP/findings.json" \
-  || fail "findings JSON must carry schema_version 2"
+grep -q '"schema_version": 3' "$TMP/findings.json" \
+  || fail "findings JSON must carry schema_version 3"
 grep -q '"schema_version": 2' "$TMP/idx1.json" \
   || fail "index dump must carry schema_version 2"
 
@@ -38,23 +37,9 @@ echo 'int jitter() { return rand() % 3; }' > "$TMP/tree/src/sim/bad.cc"
 "$BIN" --root="$TMP/tree" >/dev/null
 [ $? -eq 1 ] || fail "a finding must exit 1"
 
-# --- baseline accept-then-ratchet ----------------------------------------
-"$BIN" --root="$TMP/tree" --write-baseline="$TMP/base.txt" >/dev/null \
-  || fail "--write-baseline must exit 0"
-"$BIN" --root="$TMP/tree" --baseline="$TMP/base.txt" >/dev/null \
-  || fail "a fully baselined tree must exit 0"
-# A second identical hazard must NOT be absorbed by the single baseline
-# entry (the match budget is a multiset, not a set).
-echo 'int jitter2() { return rand() % 5; }' >> "$TMP/tree/src/sim/bad.cc"
-"$BIN" --root="$TMP/tree" --baseline="$TMP/base.txt" >/dev/null
-[ $? -eq 1 ] || fail "a new finding must exit 1 despite the baseline"
-
 # --- exit 2: config / IO errors ------------------------------------------
 "$BIN" --root="$TMP/no-such-dir" >/dev/null 2>&1
 [ $? -eq 2 ] || fail "missing config must exit 2"
-echo 'not a baseline line' > "$TMP/garbage.txt"
-"$BIN" --root="$ROOT" --baseline="$TMP/garbage.txt" >/dev/null 2>&1
-[ $? -eq 2 ] || fail "malformed baseline must exit 2"
 "$BIN" --no-such-flag >/dev/null 2>&1
 [ $? -eq 2 ] || fail "unknown flag must exit 2"
 

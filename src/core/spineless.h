@@ -19,7 +19,6 @@
 #include "core/udf_report.h"
 #include "ctrl/bgp.h"
 #include "ctrl/config_gen.h"
-#include "ctrl/ospf.h"
 #include "flowsim/maxmin.h"
 #include "flowsim/resource_layout.h"
 #include "routing/disjoint.h"

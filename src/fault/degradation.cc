@@ -1,9 +1,6 @@
 #include "fault/degradation.h"
 
-#include <sstream>
-
 #include "sim/tcp.h"
-#include "util/json.h"
 
 namespace spineless::fault {
 
@@ -77,37 +74,6 @@ std::size_t DegradationMonitor::flows_rescued_by_rto(
     if (r.completed() && r.timeouts > 0) ++rescued;
   }
   return rescued;
-}
-
-std::string DegradationMonitor::to_csv() const {
-  std::ostringstream os;
-  os << "t_ps,delivered_bytes,blackhole,gray,corrupt,no_route\n";
-  for (const Sample& s : samples_) {
-    os << s.t << ',' << s.delivered_bytes << ',' << s.blackhole_drops << ','
-       << s.gray_drops << ',' << s.corrupt_drops << ',' << s.no_route_drops
-       << "\n";
-  }
-  return os.str();
-}
-
-std::string DegradationMonitor::to_json() const {
-  JsonWriter w;
-  w.begin_object();
-  w.key("samples");
-  w.begin_array();
-  for (const Sample& s : samples_) {
-    w.begin_object();
-    w.kv("t", static_cast<std::int64_t>(s.t));
-    w.kv("delivered_bytes", s.delivered_bytes);
-    w.kv("blackhole_drops", s.blackhole_drops);
-    w.kv("gray_drops", s.gray_drops);
-    w.kv("corrupt_drops", s.corrupt_drops);
-    w.kv("no_route_drops", s.no_route_drops);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
 }
 
 }  // namespace spineless::fault

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/checkpoint.h"
@@ -66,11 +65,6 @@ class DegradationMonitor : public sim::EventSink, public sim::Checkpointable {
   // Flows that hit at least one RTO but still completed — rescued by the
   // retransmission timer rather than fast recovery.
   static std::size_t flows_rescued_by_rto(const sim::FlowDriver& driver);
-
-  // "t_ps,delivered_bytes,blackhole,gray,corrupt,no_route" per line.
-  std::string to_csv() const;
-  // Timeline as JSON (no wall times: byte-identical serial vs. sharded).
-  std::string to_json() const;
 
  private:
   sim::Network& net_;

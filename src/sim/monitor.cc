@@ -1,7 +1,6 @@
 #include "sim/monitor.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace spineless::sim {
 
@@ -45,21 +44,6 @@ Summary QueueMonitor::max_queue_pkts() const {
   for (const auto& sample : samples_)
     s.add(static_cast<double>(sample.max_bytes) / kDataPacketBytes);
   return s;
-}
-
-double QueueMonitor::mean_total_bytes() const {
-  if (samples_.empty()) return 0;
-  double acc = 0;
-  for (const auto& s : samples_) acc += static_cast<double>(s.total_bytes);
-  return acc / static_cast<double>(samples_.size());
-}
-
-std::string QueueMonitor::to_csv() const {
-  std::ostringstream os;
-  os << "t_ps,total_bytes,max_bytes\n";
-  for (const auto& s : samples_)
-    os << s.t << ',' << s.total_bytes << ',' << s.max_bytes << "\n";
-  return os.str();
 }
 
 }  // namespace spineless::sim

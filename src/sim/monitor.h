@@ -4,10 +4,9 @@
 //
 // A QueueMonitor schedules itself every `interval` and records, per sample,
 // the total and maximum switch-switch queue occupancy. Samples live in
-// memory; summarize with the Summary accessors or dump as CSV.
+// memory; max_queue_pkts() summarizes them.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "sim/checkpoint.h"
@@ -48,11 +47,6 @@ class QueueMonitor : public EventSink, public Checkpointable {
   const std::vector<Sample>& samples() const noexcept { return samples_; }
   // Distribution of the per-sample hottest queue, in packets.
   Summary max_queue_pkts() const;
-  // Time-average of total queued bytes.
-  double mean_total_bytes() const;
-
-  // "t_ps,total_bytes,max_bytes" per line.
-  std::string to_csv() const;
 
  private:
   Network& net_;

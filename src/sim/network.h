@@ -93,11 +93,6 @@ struct NetworkConfig {
   // hosts. Results are byte-identical for every value; this knob is not
   // part of the experiment configuration hash.
   int reactor_threads = 0;
-  // Pin each reactor thread to a core (pthread_setaffinity_np, reactor r ->
-  // core r mod hardware_concurrency) when the host has more than one core.
-  // Pure scheduling hint: results are byte-identical pinned or not, so like
-  // reactor_threads it stays outside the experiment configuration hash.
-  bool pin_reactors = false;
   // Workers for route-table construction. 0 = inherit intra_jobs (tables
   // fan over the shard count). N > 1 parallelizes the per-destination BFS
   // even for serial-engine cells — at 10k+ switches table build otherwise

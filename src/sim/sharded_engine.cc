@@ -1,10 +1,5 @@
 #include "sim/sharded_engine.h"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "util/runner.h"
 
 namespace spineless::sim {
@@ -25,23 +20,6 @@ int resolve_reactors(int requested, int shards) {
   if (r > shards) r = shards;
   if (r < 1) r = 1;
   return r;
-}
-
-// Best-effort reactor->core pinning (NetworkConfig::pin_reactors). Purely a
-// performance hint: affinity never reaches event order, so pinned and
-// unpinned runs are byte-identical. No-op off Linux or on 1-core hosts.
-void pin_to_core(std::thread::native_handle_type handle, int reactor) {
-#if defined(__linux__)
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw <= 1) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(reactor) % hw, &set);
-  pthread_setaffinity_np(handle, sizeof(set), &set);  // failure = unpinned
-#else
-  (void)handle;
-  (void)reactor;
-#endif
 }
 
 }  // namespace
@@ -70,14 +48,6 @@ ShardedEngine::ShardedEngine(Network& net)
   threads_.reserve(static_cast<std::size_t>(num_reactors_ - 1));
   for (int r = 1; r < num_reactors_; ++r)
     threads_.emplace_back([this, r] { worker_main(r); });
-  if (net.config().pin_reactors) {
-#if defined(__linux__)
-    pin_to_core(pthread_self(), /*reactor=*/0);  // reactor 0 is the caller
-#endif
-    for (int r = 1; r < num_reactors_; ++r)
-      pin_to_core(threads_[static_cast<std::size_t>(r - 1)].native_handle(),
-                  r);
-  }
 }
 
 ShardedEngine::~ShardedEngine() {

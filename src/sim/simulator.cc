@@ -20,14 +20,6 @@ bool below(const Simulator::Event& e, Time t_bound, std::uint64_t prio_bound) {
 
 }  // namespace
 
-void Simulator::run_until_key(Time t_bound, std::uint64_t prio_bound) {
-  for (Top t = top(); t.ev != nullptr && below(*t.ev, t_bound, prio_bound);
-       t = top()) {
-    dispatch(t);
-  }
-  cur_key_ = &root_key_;
-}
-
 bool Simulator::run_until_bounded(Time deadline, int budget) {
   Top t = top();
   for (; budget > 0 && t.ev != nullptr && t.ev->t <= deadline; t = top()) {

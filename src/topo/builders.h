@@ -105,6 +105,4 @@ Graph make_xpander(int net_degree, int lift, int servers_per_switch,
 // ---------------------------------------------------------------------------
 Graph make_dragonfly(int groups, int a, int h, int servers_per_switch);
 
-inline int dragonfly_group_of(int switch_id, int a) { return switch_id / a; }
-
 }  // namespace spineless::topo

@@ -25,8 +25,6 @@ constexpr LinkId kInvalidLink = -1;
 struct Link {
   NodeId a = kInvalidNode;
   NodeId b = kInvalidNode;
-
-  NodeId other(NodeId n) const noexcept { return n == a ? b : a; }
 };
 
 // One network port of a switch: the neighbor it reaches and the link id.

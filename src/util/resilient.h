@@ -19,7 +19,6 @@
 #include <thread>
 #include <type_traits>
 
-#include "util/runner.h"
 
 namespace spineless::util {
 
@@ -210,23 +209,6 @@ auto run_cell_attempts(CellSlot& slot, const RetryPolicy& policy,
       return out;
     }
   }
-}
-
-// Convenience: fan n cells over the runner, each under the retry/watchdog
-// policy. label_fn(i) should name the cell (id + seed) for error messages.
-template <typename Fn>
-auto run_cells(Runner& runner, std::size_t n, const RetryPolicy& policy,
-               Fn&& fn, const std::function<std::string(std::size_t)>&
-                            label_fn = nullptr)
-    -> std::vector<
-        CellOutcome<std::invoke_result_t<Fn&, std::size_t, CellContext&>>> {
-  Watchdog dog(n, policy);
-  return runner.map(n, [&](std::size_t i) {
-    const std::string label =
-        label_fn ? label_fn(i) : "cell " + std::to_string(i);
-    return run_cell_attempts(dog.slot(i), policy, label,
-                             [&](CellContext& ctx) { return fn(i, ctx); });
-  });
 }
 
 }  // namespace spineless::util

@@ -61,12 +61,6 @@ class Rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  // Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-    return lo + static_cast<std::int64_t>(
-                    uniform(static_cast<std::uint64_t>(hi - lo + 1)));
-  }
-
   // Uniform real in [0, 1).
   double uniform_real() noexcept {
     return static_cast<double>(next() >> 11) * 0x1.0p-53;

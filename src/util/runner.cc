@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "util/error.h"
+
 namespace spineless::util {
 namespace {
 

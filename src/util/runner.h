@@ -3,8 +3,9 @@
 // config) triples — across cores. It also backs intra-cell parallelism
 // (route-table construction fans destinations over the same pool).
 //
-// Determinism contract: a cell's randomness must derive only from its index
-// (derive_cell_seed), never from which thread ran it or in what order, and
+// Determinism contract: a cell's seed must be a pure function of the cell's
+// identity (each bench derives it from its base seed and the cell's index
+// or coordinates), never of which thread ran it or in what order, and
 // results are collected into index-ordered slots. A sweep therefore
 // produces byte-identical output for any --jobs value, including 1.
 //
@@ -26,17 +27,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "util/rng.h"
-
 namespace spineless::util {
-
-// Per-cell seed: decorrelates cells drawn from one base seed without any
-// sequential RNG handoff, so cell i's stream is the same no matter how many
-// worker threads exist or which one picks it up.
-constexpr std::uint64_t derive_cell_seed(std::uint64_t base_seed,
-                                         std::uint64_t cell_index) {
-  return splitmix64(base_seed ^ (cell_index * 0x9e3779b97f4a7c15ULL));
-}
 
 // Default worker count: SPINELESS_JOBS if set (and positive), otherwise
 // std::thread::hardware_concurrency().

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/error.h"
 
@@ -12,10 +11,6 @@ void Summary::add(double x) {
   samples_.push_back(x);
   sum_ += x;
   sorted_ = false;
-}
-
-void Summary::add_all(const std::vector<double>& xs) {
-  for (double x : xs) add(x);
 }
 
 void Summary::ensure_sorted() const {
@@ -42,14 +37,6 @@ double Summary::max() const {
   return samples_.back();
 }
 
-double Summary::stddev() const {
-  SPINELESS_CHECK(!samples_.empty());
-  const double m = mean();
-  double acc = 0;
-  for (double x : samples_) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(samples_.size()));
-}
-
 double Summary::percentile(double p) const {
   SPINELESS_CHECK(!samples_.empty());
   SPINELESS_CHECK(p >= 0.0 && p <= 100.0);
@@ -60,52 +47,6 @@ double Summary::percentile(double p) const {
   const auto hi = static_cast<std::size_t>(std::ceil(rank));
   const double frac = rank - static_cast<double>(lo);
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-std::string Summary::brief() const {
-  std::ostringstream os;
-  if (empty()) return "n=0";
-  os << "n=" << count() << " mean=" << mean() << " p50=" << median()
-     << " p99=" << p99() << " max=" << max();
-  return os.str();
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0.0) {
-  SPINELESS_CHECK(hi > lo);
-  SPINELESS_CHECK(bins > 0);
-}
-
-void Histogram::add(double x, double weight) {
-  const double span = hi_ - lo_;
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / span *
-                                         static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)] += weight;
-  total_ += weight;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-std::string Histogram::ascii(std::size_t width) const {
-  double peak = 0;
-  for (double c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        peak > 0 ? static_cast<std::size_t>(counts_[i] / peak *
-                                            static_cast<double>(width))
-                 : 0;
-    os << "[" << bin_lo(i) << ", " << bin_hi(i) << ") "
-       << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace spineless

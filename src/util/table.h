@@ -1,8 +1,7 @@
-// Aligned console tables and CSV output for the benchmark harnesses.
+// Aligned console tables for the benchmark harnesses.
 //
 // Every bench binary prints the same rows/series the paper reports; Table
-// keeps that output readable and greppable, and can also emit CSV so the
-// heatmaps/figures can be re-plotted.
+// keeps that output readable and greppable.
 #pragma once
 
 #include <iosfwd>
@@ -20,12 +19,8 @@ class Table {
   // Convenience: formats doubles with `precision` significant decimals.
   static std::string fmt(double v, int precision = 3);
 
-  std::size_t rows() const noexcept { return rows_.size(); }
-
   // Render with column alignment and a separator under the header.
   std::string to_string() const;
-  // RFC-4180-ish CSV (no quoting needed for our numeric content).
-  std::string to_csv() const;
 
   void print(std::ostream& os) const;
 

@@ -25,9 +25,6 @@ constexpr double to_seconds(Time t) noexcept {
 constexpr double to_millis(Time t) noexcept {
   return static_cast<double>(t) / static_cast<double>(kMillisecond);
 }
-constexpr double to_micros(Time t) noexcept {
-  return static_cast<double>(t) / static_cast<double>(kMicrosecond);
-}
 
 constexpr std::int64_t kKilo = 1'000;
 constexpr std::int64_t kMega = 1'000'000;

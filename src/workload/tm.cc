@@ -7,13 +7,6 @@
 
 namespace spineless::workload {
 
-double RackTm::total() const {
-  double t = 0;
-  for (const auto& row : w_)
-    for (double v : row) t += v;
-  return t;
-}
-
 int RackTm::sending_racks() const {
   int n = 0;
   for (const auto& row : w_) {

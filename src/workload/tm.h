@@ -43,7 +43,6 @@ class RackTm {
   }
   NodeId racks() const { return static_cast<NodeId>(w_.size()); }
 
-  double total() const;
   // Number of racks with outgoing weight > 0 — the "racks that send
   // traffic" used for the §6.1 participating-fraction rescaling.
   int sending_racks() const;

@@ -3,10 +3,16 @@
 // emits for it, and the journal round trip (a resumed sweep must re-emit
 // the JSON a live run wrote). The pinned strings are the format: a change
 // here breaks resuming journals written by older builds, or the committed
-// BENCH_*.json artifacts.
+// BENCH_*.json artifacts. Last, the benches' fan-out itself
+// (run_resumable) through a crashing and a hanging cell, then --resume.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -222,6 +228,80 @@ TEST(BenchCellCodec, MissingKeysDecodeToCellDefaults) {
             R"("corrupt_drops":0,"rescued_flows":0,"goodput_recovery":0,)"
             R"("undetected_gray_windows":0,"ctrl_outages":0,"completed":0,)"
             R"("flows":0}})");
+}
+
+// One crashing cell, one hanging cell and six healthy ones, fanned out the
+// way the benches do: run_resumable under a ResumableSweep whose journal
+// sits next to json_out. `calls` counts the cell bodies that ran.
+std::vector<BenchJson::Cell> run_mixed_sweep(const std::string& json_out,
+                                             bool resume,
+                                             std::atomic<int>* calls) {
+  std::vector<std::string> args = {"cell_codec_test", "--json_out=" + json_out,
+                                   "--max_attempts=2", "--backoff_s=0.001",
+                                   "--progress_timeout_s=0.05"};
+  if (resume) args.push_back("--resume");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  const Flags flags(static_cast<int>(argv.size()), argv.data());
+  ResumableSweep sweep("mixed", flags, "mixed sweep");
+  util::Runner runner(4);
+  return run_resumable(
+      runner, 8, sweep, [&](std::size_t i, util::CellContext& ctx) {
+        ++*calls;
+        if (i == 2) throw std::runtime_error("boom");
+        BenchJson::Cell c;
+        if (i == 5) {
+          while (!ctx.canceled()) {
+            ctx.heartbeat(1);  // never advances: the watchdog's stuck cell
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          }
+          return c;
+        }
+        c.label = "cell" + std::to_string(i);
+        c.events = i * 10;
+        return c;
+      });
+}
+
+// The sweep must finish, mark exactly the two bad cells failed after their
+// retry, and return every healthy result intact in index order; a second,
+// --resume pass must then return all eight cells from the journal without
+// running any of them.
+TEST(RunResumable, MixedSweepDegradesGracefully) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "spineless_run_resumable";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string json_out = (dir / "BENCH_mixed.json").string();
+
+  std::atomic<int> calls{0};
+  const auto cells = run_mixed_sweep(json_out, /*resume=*/false, &calls);
+  ASSERT_EQ(cells.size(), 8u);
+  EXPECT_EQ(calls.load(), 10);  // six healthy cells, two bad cells twice
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    EXPECT_EQ(cells[i].label, "cell" + std::to_string(i));
+    if (i == 2 || i == 5) {
+      EXPECT_EQ(cells[i].status, "failed");
+      EXPECT_EQ(cells[i].attempts, 2);
+      EXPECT_NE(cells[i].error.find(i == 2 ? "boom" : "watchdog"),
+                std::string::npos)
+          << cells[i].error;
+    } else {
+      EXPECT_EQ(cells[i].status, "ok");
+      EXPECT_EQ(cells[i].attempts, 1);
+      EXPECT_EQ(cells[i].events, i * 10);
+    }
+  }
+
+  calls = 0;
+  const auto resumed = run_mixed_sweep(json_out, /*resume=*/true, &calls);
+  EXPECT_EQ(calls.load(), 0);
+  ASSERT_EQ(resumed.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    EXPECT_EQ(cell_to_fields(resumed[i]), cell_to_fields(cells[i])) << i;
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // A FaultPlan run — BFD detections, gray-link RNG draws, incremental table
 // repairs, degradation samples — must replay byte-identically under any
-// intra_jobs split. The reports are JSON strings with no wall-clock
-// content, so the comparison is literal string equality.
+// intra_jobs split. The injector report is a JSON string with no
+// wall-clock content, compared as a literal string; the degradation
+// samples are compared field by field.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -42,7 +44,9 @@ struct RunPrint {
   std::int64_t delivered_bytes = 0;
   std::vector<FlowPrint> flows;
   std::string injector_json;
-  std::string monitor_json;
+  // Per degradation sample: t, delivered, blackhole, gray, corrupt,
+  // no-route.
+  std::vector<std::array<std::int64_t, 6>> samples;
   bool operator==(const RunPrint&) const = default;
 };
 
@@ -101,7 +105,9 @@ RunPrint run_fault_scenario(int intra, int reactor_threads = 0) {
   JsonWriter report;
   inj.write_report(report, kDeadline);
   out.injector_json = report.str();
-  out.monitor_json = mon.to_json();
+  for (const DegradationMonitor::Sample& s : mon.samples())
+    out.samples.push_back({s.t, s.delivered_bytes, s.blackhole_drops,
+                           s.gray_drops, s.corrupt_drops, s.no_route_drops});
   return out;
 }
 
@@ -116,7 +122,7 @@ TEST(FaultDeterminism, PlanReplaysByteIdenticallyAcrossIntraJobs) {
     SCOPED_TRACE("intra_jobs=" + std::to_string(intra));
     const RunPrint sharded = run_fault_scenario(intra);
     EXPECT_EQ(serial.injector_json, sharded.injector_json);
-    EXPECT_EQ(serial.monitor_json, sharded.monitor_json);
+    EXPECT_EQ(serial.samples, sharded.samples);
     EXPECT_EQ(serial.events, sharded.events);
     ASSERT_EQ(serial.flows.size(), sharded.flows.size());
     for (std::size_t i = 0; i < serial.flows.size(); ++i) {

@@ -387,46 +387,6 @@ TEST(SnapshotCoverage, DelegatedCodecMissingFieldStillFlags) {
   EXPECT_NE(f[0].message.find("DelState::skew"), std::string::npos);
 }
 
-// --- Baseline (accept-then-ratchet) ---------------------------------------
-
-TEST(Baseline, RoundTripMatchesByRulePathMessage) {
-  LintResult r;
-  r.findings.push_back({"no-raw-rand", "src/a.cc", 3, "msg one"});
-  r.findings.push_back({"layering", "src/b.h", 9, "msg two"});
-  std::vector<std::string> keys;
-  std::string error;
-  ASSERT_TRUE(parse_baseline(write_baseline(r), &keys, &error)) << error;
-  ASSERT_EQ(keys.size(), 2u);
-  apply_baseline(keys, &r);
-  EXPECT_TRUE(r.findings.empty());
-  EXPECT_EQ(r.baselined, 2u);
-  EXPECT_EQ(r.baseline_stale, 0u);
-
-  // Line numbers are not part of the key: an edit above the finding does
-  // not resurrect it. A fixed finding leaves its entry stale; a new
-  // finding is never absorbed.
-  LintResult next;
-  next.findings.push_back({"no-raw-rand", "src/a.cc", 41, "msg one"});
-  next.findings.push_back({"no-wall-clock", "src/c.cc", 1, "fresh"});
-  apply_baseline(keys, &next);
-  ASSERT_EQ(next.findings.size(), 1u);
-  EXPECT_EQ(next.findings[0].rule, "no-wall-clock");
-  EXPECT_EQ(next.baselined, 1u);
-  EXPECT_EQ(next.baseline_stale, 1u) << "'msg two' no longer fires";
-}
-
-TEST(Baseline, RejectsMalformedAcceptsCommentsAndBlanks) {
-  std::vector<std::string> keys;
-  std::string error;
-  EXPECT_FALSE(parse_baseline("bogus line\n", &keys, &error));
-  EXPECT_NE(error.find("baseline:1"), std::string::npos);
-  keys.clear();
-  ASSERT_TRUE(parse_baseline("# header\n\nspineless-x\tp\tm\n", &keys,
-                             &error))
-      << error;
-  EXPECT_EQ(keys.size(), 1u);
-}
-
 TEST(Suppressions, JustifiedNolintSuppressesBothForms) {
   const auto r = lint_fixture("suppress_ok.cc");
   EXPECT_TRUE(r.findings.empty()) << report_text(r);
@@ -615,9 +575,7 @@ TEST(Reports, JsonShapeAndEscaping) {
   EXPECT_NE(json.find("\\\"quotes\\\"\\nand newline"), std::string::npos);
   EXPECT_NE(json.find("\"suppressed\": 1"), std::string::npos);
   // CI consumers key on the schema version; bump it when fields change.
-  EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"baselined\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"baseline_stale\": 0"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
 }
 
 TEST(Reports, OutputIsDeterministic) {
@@ -647,13 +605,12 @@ TEST(SelfCheck, ShippedTreeIsLintClean) {
 }
 
 // The index rides on every run: the shipped tree must produce a
-// deterministic, non-trivial symbol graph, and the shipped baseline must
-// be empty — the ratchet is fully tightened.
-TEST(SelfCheck, ShippedTreeIndexAndBaseline) {
+// deterministic, non-trivial symbol graph.
+TEST(SelfCheck, ShippedTreeIndexIsStable) {
   std::string error;
   const auto cfg = parse_config(shipped_config_text(), &error);
   ASSERT_TRUE(cfg.has_value()) << error;
-  auto r = run_lint(kSourceDir, *cfg);
+  const auto r = run_lint(kSourceDir, *cfg);
   ASSERT_NE(r.index, nullptr);
   EXPECT_GT(r.index->symbols.size(), 500u);
   EXPECT_GT(r.index->call_edges, 1000u);
@@ -666,18 +623,6 @@ TEST(SelfCheck, ShippedTreeIndexAndBaseline) {
   const auto again = run_lint(kSourceDir, *cfg);
   EXPECT_EQ(dump_index_json(*r.index), dump_index_json(*again.index))
       << "--index-dump must be byte-stable for the same tree";
-
-  std::ifstream in(std::string(kSourceDir) + "/tools/lint/lint_baseline.txt");
-  ASSERT_TRUE(in.good()) << "shipped baseline file missing";
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::vector<std::string> keys;
-  ASSERT_TRUE(parse_baseline(ss.str(), &keys, &error)) << error;
-  EXPECT_TRUE(keys.empty()) << "shipped baseline must be empty";
-  apply_baseline(keys, &r);
-  EXPECT_TRUE(r.findings.empty());
-  EXPECT_EQ(r.baselined, 0u);
-  EXPECT_EQ(r.baseline_stale, 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 // JSON reports (which carry no wall-clock content).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -265,7 +266,9 @@ struct FaultPrint {
   std::int64_t queue_drops = 0, gray_drops = 0, corrupt_drops = 0;
   std::int64_t delivered_bytes = 0;
   std::string injector_json;
-  std::string monitor_json;
+  // Per degradation sample: t, delivered, blackhole, gray, corrupt,
+  // no-route.
+  std::vector<std::array<std::int64_t, 6>> samples;
   std::vector<std::int64_t> flow_finish;
   bool operator==(const FaultPrint&) const = default;
 };
@@ -326,7 +329,9 @@ FaultPrint run_fault_cell(int intra, int interrupt_at,
   JsonWriter report;
   inj.write_report(report, kFaultDeadline);
   out.injector_json = report.str();
-  out.monitor_json = mon.to_json();
+  for (const fault::DegradationMonitor::Sample& s : mon.samples())
+    out.samples.push_back({s.t, s.delivered_bytes, s.blackhole_drops,
+                           s.gray_drops, s.corrupt_drops, s.no_route_drops});
   for (std::size_t i = 0; i < driver.num_flows(); ++i)
     out.flow_finish.push_back(
         driver.flow(static_cast<std::int32_t>(i)).record().finish);

@@ -48,7 +48,6 @@ TEST(QueueMonitor, SeesCongestionBuildUp) {
   // Four Reno flows into one 10G pipe: the monitor must observe deep
   // queues at some point.
   EXPECT_GT(mon.max_queue_pkts().max(), 30.0);
-  EXPECT_GT(mon.mean_total_bytes(), 0.0);
 }
 
 TEST(QueueMonitor, IdleNetworkReadsZero) {
@@ -60,16 +59,6 @@ TEST(QueueMonitor, IdleNetworkReadsZero) {
     EXPECT_EQ(s.total_bytes, 0);
     EXPECT_EQ(s.max_bytes, 0);
   }
-}
-
-TEST(QueueMonitor, CsvHasHeaderAndRows) {
-  Rig rig;
-  QueueMonitor mon(rig.net, units::kMillisecond);
-  mon.start(rig.sim, 0, 2 * units::kMillisecond);
-  rig.sim.run_until(units::kSecond);
-  const auto csv = mon.to_csv();
-  EXPECT_EQ(csv.rfind("t_ps,total_bytes,max_bytes\n", 0), 0u);
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4);  // header + 3
 }
 
 TEST(QueueMonitor, DctcpHoldsQueuesWhereRenoFillsThem) {

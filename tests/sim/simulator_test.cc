@@ -144,8 +144,8 @@ class OrderModel {
   Time draw_delay() {
     const std::uint64_t pick = rng_.uniform(10);
     if (pick < 6) return kFixedDelays[pick % kFixedDelays.size()];
-    if (pick < 8) return 8 * rng_.uniform_int(1, 200);  // coarse: ties
-    if (pick < 9) return rng_.uniform_int(1, 5000);
+    if (pick < 8) return 8 * between(1, 200);  // coarse: ties
+    if (pick < 9) return between(1, 5000);
     return 0;
   }
 
@@ -216,7 +216,7 @@ class OrderModel {
     const std::uint64_t before = dispatched_;
     switch (rng_.uniform(4)) {
       case 0: {
-        const Time deadline = start + rng_.uniform_int(0, 3000);
+        const Time deadline = start + between(0, 3000);
         const bool more = sim.run_until(deadline);
         ASSERT_EQ(more, !pending_.empty());
         ASSERT_FALSE(min_below(deadline, ~std::uint64_t{0}));
@@ -225,7 +225,7 @@ class OrderModel {
       }
       case 1: {
         // Fence at a pending key (exclusive) or just past the clock.
-        Time t = start + rng_.uniform_int(0, 3000);
+        Time t = start + between(0, 3000);
         std::uint64_t prio = rng_.next();
         if (!pending_.empty() && rng_.uniform(2) == 0) {
           auto it = pending_.begin();
@@ -234,13 +234,15 @@ class OrderModel {
           t = std::get<0>(*it);
           prio = std::get<1>(*it);
         }
-        sim.run_until_key(t, prio);
+        // The engine's form: budgeted slices until the fence is reached.
+        while (sim.run_until_key_bounded(t, prio, 4)) {
+        }
         ASSERT_FALSE(min_below(t, prio));
         break;
       }
       case 2: {
-        const Time deadline = start + rng_.uniform_int(0, 3000);
-        const int budget = static_cast<int>(rng_.uniform_int(1, 20));
+        const Time deadline = start + between(0, 3000);
+        const int budget = static_cast<int>(between(1, 20));
         const bool more = sim.run_until_bounded(deadline, budget);
         ASSERT_LE(dispatched_ - before, static_cast<std::uint64_t>(budget));
         ASSERT_EQ(more, min_below(deadline, ~std::uint64_t{0}));
@@ -250,9 +252,9 @@ class OrderModel {
         break;
       }
       default: {
-        const Time t = start + rng_.uniform_int(0, 3000);
+        const Time t = start + between(0, 3000);
         const std::uint64_t prio = rng_.next();
-        const int budget = static_cast<int>(rng_.uniform_int(1, 20));
+        const int budget = static_cast<int>(between(1, 20));
         const bool more = sim.run_until_key_bounded(t, prio, budget);
         ASSERT_LE(dispatched_ - before, static_cast<std::uint64_t>(budget));
         ASSERT_EQ(more, min_below(t, prio));
@@ -268,6 +270,12 @@ class OrderModel {
   Simulator sim;
 
  private:
+  // Uniform integer in [lo, hi].
+  std::int64_t between(std::int64_t lo, std::int64_t hi) {
+    return lo + static_cast<std::int64_t>(
+                    rng_.uniform(static_cast<std::uint64_t>(hi - lo + 1)));
+  }
+
   Rng rng_;
   std::vector<std::unique_ptr<ModelSink>> sinks_;
   std::set<std::tuple<Time, std::uint64_t, std::uint64_t>> pending_;

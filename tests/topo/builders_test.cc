@@ -396,11 +396,12 @@ TEST(Dragonfly, BalancedConfigStructure) {
   EXPECT_EQ(path_length_stats(g).diameter, 3);
 }
 
+// Switch id = group * a + index, so a switch's group is id / a.
 TEST(Dragonfly, IntraGroupIsComplete) {
   const Graph g = make_dragonfly(4, 3, 1, 1);
   for (NodeId u = 0; u < g.num_switches(); ++u) {
     for (NodeId v = u + 1; v < g.num_switches(); ++v) {
-      if (dragonfly_group_of(u, 3) == dragonfly_group_of(v, 3)) {
+      if (u / 3 == v / 3) {
         EXPECT_TRUE(g.adjacent(u, v)) << u << "," << v;
       }
     }
@@ -413,8 +414,8 @@ TEST(Dragonfly, EveryGroupPairLinked) {
   std::vector<std::vector<bool>> pair(static_cast<std::size_t>(groups),
                                       std::vector<bool>(static_cast<std::size_t>(groups), false));
   for (const Link& l : g.links()) {
-    const int gi = dragonfly_group_of(l.a, a);
-    const int gj = dragonfly_group_of(l.b, a);
+    const int gi = l.a / a;
+    const int gj = l.b / a;
     pair[static_cast<std::size_t>(gi)][static_cast<std::size_t>(gj)] = true;
     pair[static_cast<std::size_t>(gj)][static_cast<std::size_t>(gi)] = true;
   }
@@ -432,7 +433,7 @@ TEST(Dragonfly, GlobalPortBudgetRespected) {
   for (NodeId u = 0; u < g.num_switches(); ++u) {
     int global = 0;
     for (const Port& p : g.neighbors(u))
-      global += dragonfly_group_of(p.neighbor, a) != dragonfly_group_of(u, a);
+      global += p.neighbor / a != u / a;
     EXPECT_LE(global, h);
   }
 }

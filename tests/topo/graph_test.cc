@@ -18,13 +18,6 @@ TEST(Graph, AddLinkUpdatesAdjacency) {
   EXPECT_EQ(g.network_degree(2), 0);
 }
 
-TEST(Graph, LinkOtherEndpoint) {
-  Graph g(2);
-  const LinkId l = g.add_link(0, 1);
-  EXPECT_EQ(g.link(l).other(0), 1);
-  EXPECT_EQ(g.link(l).other(1), 0);
-}
-
 TEST(Graph, SelfLoopRejected) {
   Graph g(2);
   EXPECT_THROW(g.add_link(1, 1), Error);

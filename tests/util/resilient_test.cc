@@ -1,7 +1,7 @@
-// Self-healing runner tests: retries on crashing cells, watchdog
-// cancellation of hung cells, and graceful degradation — a sweep with one
-// crashing and one hanging cell still finishes, reporting both as failed
-// while every other cell's result is intact.
+// Self-healing runner tests: retries on crashing cells and watchdog
+// cancellation of hung cells. Graceful degradation of a whole sweep is
+// tested through the benches' own fan-out, bench::run_resumable, in
+// tests/bench/cell_codec_test.cc.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "util/resilient.h"
-#include "util/runner.h"
 
 namespace spineless::util {
 namespace {
@@ -115,43 +114,6 @@ TEST(RunCellAttempts, ExternalInterruptIsNotRetried) {
       });
   EXPECT_EQ(out.status.state, CellState::kInterrupted);
   EXPECT_EQ(calls, 1);  // an interrupt never burns retry attempts
-}
-
-TEST(RunCells, MixedSweepDegradesGracefully) {
-  // One crashing cell, one hanging cell, six healthy cells: the sweep must
-  // finish, mark exactly the two bad cells failed, and return every
-  // healthy result intact in index order.
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.backoff_base_s = 0.001;
-  policy.progress_timeout_s = 0.05;
-  Runner runner(4);
-  const auto outcomes = run_cells(
-      runner, 8, policy,
-      [&](std::size_t i, CellContext& ctx) -> int {
-        if (i == 2) throw std::runtime_error("boom");
-        if (i == 5) {
-          while (!ctx.canceled()) {
-            ctx.heartbeat(1);
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-          }
-          return -1;
-        }
-        return static_cast<int>(i) * 10;
-      },
-      [](std::size_t i) { return "cell " + std::to_string(i); });
-  ASSERT_EQ(outcomes.size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) {
-    SCOPED_TRACE("cell " + std::to_string(i));
-    if (i == 2 || i == 5) {
-      EXPECT_EQ(outcomes[i].status.state, CellState::kFailed);
-      EXPECT_EQ(outcomes[i].status.attempts, 2);
-      EXPECT_FALSE(outcomes[i].status.error.empty());
-    } else {
-      EXPECT_TRUE(outcomes[i].status.ok());
-      EXPECT_EQ(outcomes[i].value, static_cast<int>(i) * 10);
-    }
-  }
 }
 
 TEST(Watchdog, WallClockTimeoutCancelsLongCell) {

@@ -46,20 +46,6 @@ TEST(Rng, UniformCoversAllValues) {
   EXPECT_EQ(seen.size(), 7u);
 }
 
-TEST(Rng, UniformIntInclusiveRange) {
-  Rng rng(11);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 5000; ++i) {
-    const auto v = rng.uniform_int(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= v == -3;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, UniformRealInUnitInterval) {
   Rng rng(13);
   double sum = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/error.h"
@@ -16,7 +17,8 @@ TEST(Table, RendersHeaderAndRows) {
   EXPECT_NE(s.find("name"), std::string::npos);
   EXPECT_NE(s.find("alpha"), std::string::npos);
   EXPECT_NE(s.find("beta"), std::string::npos);
-  EXPECT_EQ(t.rows(), 2u);
+  // Header, separator and one line per row.
+  EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 4);
 }
 
 TEST(Table, ColumnsAreAligned) {
@@ -31,12 +33,6 @@ TEST(Table, ColumnsAreAligned) {
   std::getline(in, row2);
   // The second column starts at the same offset in both rows.
   EXPECT_EQ(row1.find('1'), row2.find('2'));
-}
-
-TEST(Table, CsvOutput) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.to_csv(), "a,b\n1,2\n");
 }
 
 TEST(Table, RowWidthMismatchThrows) {

@@ -389,80 +389,13 @@ LintResult run_lint(const std::string& root, const Config& cfg,
   return lint_files(root, cfg, std::move(files));
 }
 
-// Baseline key: line numbers deliberately excluded (see lint.h).
-static std::string baseline_key(const Finding& f) {
-  return "spineless-" + f.rule + "\t" + f.path + "\t" + f.message;
-}
-
-std::string write_baseline(const LintResult& r) {
-  std::string out =
-      "# spineless_lint baseline (accept-then-ratchet). One finding per\n"
-      "# line: spineless-<rule>\\t<path>\\t<message>. Delete lines to\n"
-      "# ratchet; the gate fails on any finding not listed here.\n";
-  for (const Finding& f : r.findings) {
-    std::string key = baseline_key(f);
-    // Findings never contain newlines today; keep the format line-safe
-    // anyway so a hand-edited file cannot smuggle extra entries.
-    std::replace(key.begin(), key.end(), '\n', ' ');
-    out += key;
-    out += '\n';
-  }
-  return out;
-}
-
-bool parse_baseline(const std::string& text,
-                    std::vector<std::string>* keys, std::string* error) {
-  std::stringstream in(text);
-  std::string raw;
-  int lineno = 0;
-  while (std::getline(in, raw)) {
-    ++lineno;
-    const std::string line = trim(raw);
-    if (line.empty() || line.front() == '#') continue;
-    if (std::count(line.begin(), line.end(), '\t') != 2 ||
-        !starts_with(line, "spineless-")) {
-      *error = "baseline:" + std::to_string(lineno) +
-               ": expected spineless-<rule>\\t<path>\\t<message>, got: " +
-               line;
-      return false;
-    }
-    keys->push_back(line);
-  }
-  return true;
-}
-
-void apply_baseline(const std::vector<std::string>& keys, LintResult* r) {
-  std::map<std::string, std::size_t> budget;  // multiset: key -> count
-  for (const std::string& k : keys) ++budget[k];
-  std::vector<Finding> kept;
-  for (Finding& f : r->findings) {
-    const auto it = budget.find(baseline_key(f));
-    if (it != budget.end() && it->second > 0) {
-      --it->second;
-      ++r->baselined;
-    } else {
-      kept.push_back(std::move(f));
-    }
-  }
-  r->findings = std::move(kept);
-  for (const auto& kv : budget) r->baseline_stale += kv.second;
-}
-
 std::string report_text(const LintResult& r) {
   std::ostringstream os;
   for (const Finding& f : r.findings)
     os << f.path << ":" << f.line << ": [spineless-" << f.rule << "] "
        << f.message << "\n";
   os << r.files_scanned << " file(s) scanned, " << r.findings.size()
-     << " finding(s), " << r.suppressed << " suppressed";
-  if (r.baselined != 0 || r.baseline_stale != 0) {
-    os << ", " << r.baselined << " baselined";
-    if (r.baseline_stale != 0)
-      os << " (" << r.baseline_stale
-         << " stale baseline entr" << (r.baseline_stale == 1 ? "y" : "ies")
-         << " — ratchet by regenerating with --write-baseline)";
-  }
-  os << "\n";
+     << " finding(s), " << r.suppressed << " suppressed\n";
   return os.str();
 }
 
@@ -505,11 +438,9 @@ std::string json_quote(const std::string& s) {
 
 std::string report_json(const LintResult& r) {
   std::string out = "{\n  \"tool\": \"spineless_lint\",\n";
-  out += "  \"schema_version\": 2,\n";
+  out += "  \"schema_version\": 3,\n";
   out += "  \"files_scanned\": " + std::to_string(r.files_scanned) + ",\n";
   out += "  \"suppressed\": " + std::to_string(r.suppressed) + ",\n";
-  out += "  \"baselined\": " + std::to_string(r.baselined) + ",\n";
-  out += "  \"baseline_stale\": " + std::to_string(r.baseline_stale) + ",\n";
   out += "  \"finding_count\": " + std::to_string(r.findings.size()) + ",\n";
   out += "  \"findings\": [";
   for (std::size_t i = 0; i < r.findings.size(); ++i) {

@@ -139,8 +139,6 @@ struct LintResult {
   std::vector<Finding> findings;
   std::size_t files_scanned = 0;
   std::size_t suppressed = 0;
-  std::size_t baselined = 0;  // findings absorbed by --baseline
-  std::size_t baseline_stale = 0;  // baseline entries that no longer fire
   std::shared_ptr<const Index> index;
 };
 
@@ -156,22 +154,9 @@ LintResult run_lint(const std::string& root, const Config& cfg,
 LintResult lint_files(const std::string& root, const Config& cfg,
                       std::vector<SourceFile> files);
 
-// Baseline support (accept-then-ratchet, CodeChecker-style). A baseline
-// file is line-oriented: "spineless-<rule>\t<path>\t<message>", '#'
-// comments and blank lines ignored. Findings are matched by
-// (rule, path, message) — deliberately not by line, so unrelated edits
-// above a baselined finding don't resurrect it. apply_baseline removes
-// matched findings from r->findings (counting them in r->baselined) and
-// counts stale entries; the ratchet is "no finding outside the baseline",
-// and shrinking the file is the only way to tighten it.
-std::string write_baseline(const LintResult& r);
-bool parse_baseline(const std::string& text,
-                    std::vector<std::string>* keys, std::string* error);
-void apply_baseline(const std::vector<std::string>& keys, LintResult* r);
-
 // Reporters. Text is "path:line: [spineless-<rule>] message" per finding;
 // JSON is a stable machine-readable document for CI consumption
-// (schema_version 2: adds baselined counts and the graph rules).
+// (schema_version 3; bump it when the fields change).
 std::string report_text(const LintResult& r);
 std::string report_json(const LintResult& r);
 

@@ -7,12 +7,14 @@
 //   spineless_lint --root=. --json=lint.json       # machine-readable findings
 //   spineless_lint --root=. src/sim/tcp.cc         # lint specific files
 //   spineless_lint --root=. --index-dump=idx.json  # dump the symbol index
-//   spineless_lint --root=. --baseline=b.txt       # accept-then-ratchet
+//
+// A finding is accepted only by a justified NOLINT at its line (counted in
+// the report's "suppressed").
 //
 // Exit codes (stable, asserted by scripts/lint_cli_smoke.sh):
-//   0  clean (no findings outside the baseline)
+//   0  clean (no findings)
 //   1  findings
-//   2  config or I/O error (unreadable config/baseline, unwritable output)
+//   2  config or I/O error (unreadable config, unwritable output)
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -54,17 +56,12 @@ int usage() {
   std::cerr
       << "usage: spineless_lint [--root=DIR] [--config=FILE]\n"
          "                      [--json[=FILE]] [--index-dump=FILE]\n"
-         "                      [--baseline=FILE] [--write-baseline=FILE]\n"
          "                      [files...]\n"
          "  --root            repository root (default: .)\n"
          "  --config          rule config (default: <root>/tools/lint/lint.toml)\n"
          "  --json            emit findings as JSON (to FILE, or stdout)\n"
          "  --index-dump      write the cross-TU symbol index as\n"
          "                    deterministic JSON (same bytes for same tree)\n"
-         "  --baseline        accepted findings; matches don't fail the run\n"
-         "                    (ratchet: shrink the file to tighten)\n"
-         "  --write-baseline  write the current findings as a new baseline\n"
-         "                    and exit 0 (accept step)\n"
          "  files             repo-relative files to lint instead of the\n"
          "                    configured scan directories\n"
          "exit codes: 0 clean, 1 findings, 2 config/IO error\n";
@@ -85,8 +82,6 @@ int main(int argc, char** argv) {
   bool json = false;
   std::string json_path;
   std::string index_dump_path;
-  std::string baseline_path;
-  std::string write_baseline_path;
   std::vector<std::string> only;
 
   const std::vector<std::string> args(argv + 1, argv + argc);
@@ -95,9 +90,6 @@ int main(int argc, char** argv) {
     if (flag_value(args, &i, "--root", &root)) continue;
     if (flag_value(args, &i, "--config", &config_path)) continue;
     if (flag_value(args, &i, "--index-dump", &index_dump_path)) continue;
-    if (flag_value(args, &i, "--baseline", &baseline_path)) continue;
-    if (flag_value(args, &i, "--write-baseline", &write_baseline_path))
-      continue;
     if (a == "--json") {
       json = true;
       continue;
@@ -136,34 +128,6 @@ int main(int argc, char** argv) {
                   spineless::lint::dump_index_json(*result.index))) {
     std::cerr << "spineless_lint: cannot write " << index_dump_path << "\n";
     return 2;
-  }
-
-  if (!write_baseline_path.empty()) {
-    if (!write_file(write_baseline_path,
-                    spineless::lint::write_baseline(result))) {
-      std::cerr << "spineless_lint: cannot write " << write_baseline_path
-                << "\n";
-      return 2;
-    }
-    std::cout << "spineless_lint: wrote " << result.findings.size()
-              << " finding(s) to " << write_baseline_path << "\n";
-    return 0;
-  }
-
-  if (!baseline_path.empty()) {
-    std::string baseline_text;
-    if (!read_file(baseline_path, &baseline_text)) {
-      std::cerr << "spineless_lint: cannot read baseline " << baseline_path
-                << "\n";
-      return 2;
-    }
-    std::vector<std::string> keys;
-    if (!spineless::lint::parse_baseline(baseline_text, &keys, &error)) {
-      std::cerr << "spineless_lint: " << baseline_path << ": " << error
-                << "\n";
-      return 2;
-    }
-    spineless::lint::apply_baseline(keys, &result);
   }
 
   const std::string json_doc = json ? spineless::lint::report_json(result)
