@@ -7,7 +7,7 @@
 // summary (events/sec, ns/event, peak RSS) — the tier-1 smoke target and
 // the number the performance roadmap tracks — plus the best-of-3 build
 // time of the 20k-switch RRG (`rrg20k_build_s`). `--intra_jobs=N` runs the
-// same scenario on the sharded reactor engine (byte-identical event
+// same scenario on the sharded engine (byte-identical event
 // stream; the events/s delta is the engine's parallel overhead) and adds
 // the engine's self-metrics to the JSON cell; serial output is unchanged.
 // A sharded run also alternates serial and N-shard passes of the scenario
@@ -190,8 +190,6 @@ int run_json_smoke(const std::string& path, int intra_jobs) {
     w.kv("intra_jobs", intra_jobs);
     w.kv("engine_windows", best.metrics.windows);
     w.kv("engine_handoffs", best.metrics.handoffs);
-    w.kv("engine_spin_waits", best.metrics.spin_waits);
-    w.kv("engine_central_plans", best.metrics.central_plans);
     w.kv("overhead_passes", kOverheadPasses);
     w.kv("overhead_serial_events_per_sec", overhead.serial_eps);
     w.kv("overhead_sharded_events_per_sec", overhead.sharded_eps);

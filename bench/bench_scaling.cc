@@ -1,16 +1,17 @@
-// Reactor-engine scaling sweep: events/s of the bench_micro scenario per
+// Sharded-engine scaling sweep: events/s of the bench_micro scenario per
 // shard count, written to BENCH_scaling.json.
 //
-// On this repo's reference container (1 CPU) every shard count runs
-// cooperatively on one core, so the interesting number is *overhead*:
-// events/s relative to serial must stay near 1.0 (the ROADMAP gate is
-// <= 5% at intra_jobs=2). On a multi-core host the engine backs shards
-// with real reactor threads and the figure of merit becomes *efficiency*
-// = speedup / cores_used; the JSON reports it only when real cores back
-// the shards (cores_used > 1), because "efficiency" of a cooperative
-// single-core run is a category error. Target on >= 4 real cores:
-// >= 3x speedup at 4 shards (documented here, CI-checked where hardware
-// allows).
+// Where every shard count runs on one core (a 1-CPU host) the interesting
+// number is *overhead*: events/s relative to serial must stay near 1.0.
+// On a multi-core host the engine backs shards with real threads and the
+// figure of merit becomes *efficiency* = speedup / cores_used; the JSON
+// reports it only when real cores back the shards (cores_used > 1),
+// because "efficiency" of a single-thread run is a category error. Target
+// on >= 4 real cores: >= 3x speedup at 4 shards (documented here,
+// CI-checked where hardware allows).
+//
+// Usage: bench_scaling [--json=PATH]. Any other argument prints the usage
+// and exits 2 without running the sweep.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -38,7 +39,7 @@ int run(const std::string& path) {
   w.kv("hardware_concurrency", hw);
   w.kv("target",
        ">=3x speedup at intra_jobs=4 on >=4 real cores; "
-       "<=5% overhead at intra_jobs=2 on 1 core");
+       "<=5% overhead at intra_jobs=2");
   w.key("cells");
   w.begin_array();
   for (const bench::EventThroughput& c : cells) {
@@ -58,8 +59,6 @@ int run(const std::string& path) {
     if (c.intra_jobs > 1) {
       w.kv("engine_windows", c.metrics.windows);
       w.kv("engine_handoffs", c.metrics.handoffs);
-      w.kv("engine_spin_waits", c.metrics.spin_waits);
-      w.kv("engine_central_plans", c.metrics.central_plans);
     }
     w.end_object();
   }
@@ -85,7 +84,12 @@ int run(const std::string& path) {
 
 int main(int argc, char** argv) {
   std::string path = "BENCH_scaling.json";
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--json=", 7) == 0) path = argv[i] + 7;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--json=", 7) != 0) {
+      std::fprintf(stderr, "usage: bench_scaling [--json=PATH]\n");
+      return 2;
+    }
+    path = argv[i] + 7;
+  }
   return spineless::run(path);
 }

@@ -24,7 +24,7 @@ struct EventThroughput {
   std::uint64_t events = 0;
   std::size_t completed = 0;
   double wall_s = 0;   // the event loop alone, not the set-up
-  int cores_used = 1;  // reactor threads actually backing the shards
+  int cores_used = 1;  // threads actually backing the shards
   sim::ShardedEngine::Metrics metrics;  // sharded engine only
 
   double events_per_sec() const {

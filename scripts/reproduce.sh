@@ -64,7 +64,7 @@ if [[ "$TSAN" == 1 ]]; then
   # runner, parallel table construction, the sharded engine, the fault
   # subsystem's sharded BFD sessions / incremental repairs, the
   # checkpoint/watchdog machinery, and the hybrid co-simulation window
-  # loop (boundary reprogramming against live reactor threads).
+  # loop (boundary reprogramming against live engine threads).
   cmake -B build-tsan -G Ninja -DSPINELESS_TSAN=ON
   cmake --build build-tsan
   ctest --test-dir build-tsan -L 'concurrency|fault|robustness|hybrid|service' --output-on-failure
@@ -104,7 +104,7 @@ for b in build/bench/*; do
   echo "===== $name =====" | tee -a bench_output.txt
   if [[ "$name" == bench_micro ]]; then
     # google-benchmark harness: no --jobs; the JSON smoke mode is the
-    # machine-readable artifact. Run serial and the intra_jobs=2 reactor
+    # machine-readable artifact. Run serial and the intra_jobs=2 sharded
     # cell, then refresh the committed results/BENCH_micro.json baseline.
     env "${SCALE_ENV[@]}" "$b" --json=BENCH_micro.json \
       2>/dev/null | tee -a bench_output.txt

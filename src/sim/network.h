@@ -84,14 +84,14 @@ struct NetworkConfig {
   // serial engine; results are byte-identical either way. Clamped to the
   // switch count.
   int intra_jobs = 1;
-  // OS threads backing the sharded engine's reactors. 0 = auto:
-  // min(shards, hardware_concurrency), so on a single-core host all shard
-  // pollers multiplex cooperatively onto the calling thread and the engine
-  // pays no context switches. N > 0 forces exactly N reactors (clamped to
-  // the shard count) — the TSAN determinism tests force one thread per
-  // shard so the lock-free rings are exercised concurrently even on small
-  // hosts. Results are byte-identical for every value; this knob is not
-  // part of the experiment configuration hash.
+  // OS threads running the sharded engine's shards, each thread a
+  // contiguous block of them. 0 = auto: min(shards, hardware_concurrency),
+  // so on a single-core host the calling thread runs every shard and the
+  // engine pays no context switches. N > 0 forces exactly N threads
+  // (clamped to the shard count) — the TSAN determinism tests force real
+  // threads so the cross-thread lane handoff and rendezvous run
+  // concurrently even on small hosts. Results are byte-identical for every
+  // value; this knob is not part of the experiment configuration hash.
   int reactor_threads = 0;
   // Workers for route-table construction. 0 = inherit intra_jobs (tables
   // fan over the shard count). N > 1 parallelizes the per-destination BFS

@@ -1,11 +1,9 @@
 // Deterministic intra-cell parallelism: a conservative parallel
-// discrete-event engine over a sharded Network, structured as an
-// SPDK-style reactor — persistent per-shard pollers multiplexed onto a
-// small set of reactor threads, with one hand-off per window instead of
-// the old two-barrier lockstep windows.
+// discrete-event engine over a sharded Network, advanced in windows that
+// every thread derives from the same published keys.
 //
 // The Network block-partitions its switches (and their hosts, NICs, and
-// flows) into K shards; each shard gets its own Simulator (event heap) and
+// flows) into K shards; each shard gets its own Simulator (event queue) and
 // packet pool. All per-entity state is touched only by the entity's owning
 // shard, and the only events that cross shards are link-propagation
 // arrivals, which a transmitting shard schedules at least
@@ -15,77 +13,60 @@
 // arrival is at or beyond X, all shards can execute [X, X + lookahead)
 // concurrently without ever receiving an event below their front.
 //
-// Reactor structure. Each shard is a Poller — a small non-blocking state
-// machine — and R reactor threads (auto: min(K, hardware cores); reactor 0
-// is the caller) round-robin their pollers. On a 1-core host R = 1 and the
-// shards interleave cooperatively on one thread: the protocol then costs a
-// handful of uncontended atomics per window and zero context switches,
-// which is what makes --intra_jobs=2 nearly free where the barrier engine
-// paid two futex rendezvous per window.
+// Threads. T = min(reactor_threads or the core count, K) threads, thread 0
+// being the caller, each own a contiguous block of shards and run each of
+// them through the whole window in turn.
 //
-// Cross-shard handoff. Each (src, dst) lane is a pair of plain vectors
-// owned by the producing poller, out[dst][epoch & 1]: a post during
-// window e appends to buffer e & 1. At the end of its window each shard
-// publishes produced = e (release). A consumer merges at epoch e only
-// after acquiring every produced >= e, walking the sources in fixed order
-// and pushing each lane's buffer e & 1 into its heap in append order, then
-// clearing it — so the set and order of merged events per window is a
-// pure function of the event streams. No further synchronization is
-// needed: the producer writes buffer e & 1 again only in window e + 2, and
-// it enters that window only after its own merge of e + 1, which first
-// acquires the consumer's produced >= e + 1 — published only after the
-// consumer's merge of e (every window, fast, slow or central, passes
-// through that merge). So the consumer's reads and clear of the buffer
-// happen-before the producer's next write to it, and the producer's
-// writes happen-before the consumer's reads.
+// One window rule. At the end of window e every shard writes three keys
+// into slot e & 1 — its queue minimum, the least key it posted to any lane
+// and the least global key it has posted since the last rendezvous — and
+// then stores produced = e (release). Every thread acquires every
+// produced >= e, folds the slots in shard order together with the earliest
+// pending global, and applies next_window():
+//   - a due global comes first, or nothing is left by the deadline:
+//     rendezvous;
+//   - else the window is [tmin, min(tmin + lookahead, deadline + 1)) with
+//     tmin the exact earliest pending key (queues plus lanes), cut strictly
+//     below a global that falls inside it (kRunKey).
+// Every thread reads the same values, so every thread traces the same
+// window sequence with no coordinator.
 //
-// Window advance. Windows are planned *decentrally*: after merging epoch
-// e every shard publishes its post-merge heap minimum (merged = e,
-// release) and decides the next window from shared, deterministic inputs:
-//   - busy fast path: if its own heap has an event inside the fixed next
-//     window [X, X + lookahead) and no global event is due, it steps into
-//     that window immediately — no waits beyond the produced handshake,
-//     no reads of other shards' minima;
-//   - otherwise it waits for all merged >= e, folds the published minima
-//     into the exact global minimum, and either mirrors the step window
-//     (someone else was busy), jumps the window start to the global
-//     minimum (everyone idle — this is what keeps sparse phases, e.g.
-//     retransmission timeouts, O(1) windows per event cluster), or
-//     rendezvouses for a central plan.
-// Every shard evaluates the same rules on the same published values, so
-// all pollers trace the identical window sequence with no coordinator.
+// Lanes. A post during window e appends to the producer's out[dst][e & 1];
+// dst's own thread merges its lanes when window e + 1 starts, sources in
+// fixed order, each lane in post order, and clears them. Slots and lanes
+// are double-buffered on one parity argument: a shard writes parity e & 1
+// again only in window e + 2, which it reaches only after acquiring every
+// produced >= e + 1, and each reader publishes that value after its
+// epoch-e reads and merges.
 //
-// Globals. Global events (sinks registered kShardGlobal: link failures,
-// queue monitors) mutate whole-network state, so they cannot run inside a
-// shard. They execute single-threaded in the central plan: the last shard
-// to arrive at the rendezvous drains the global inbox, executes due
-// globals on the control simulator in exact (t, prio) order (shards run
-// strictly below a mid-window global's key first — kRunKey), and
-// publishes the next window plus a snapshot of the earliest pending
-// global. Mid-window global posts are tagged with the posting shard's
-// epoch so every shard folds the identical global set into its decision
-// at epoch e regardless of scheduling.
+// Rendezvous. Only globals (sinks registered kShardGlobal: link failures,
+// queue monitors, which mutate whole-network state) and the deadline stop
+// every thread. An arrival counter picks the last thread to arrive, which
+// merges every lane and every shard's posted globals, executes due
+// globals on the control simulator in exact (t, prio) order, applies the
+// same next_window() over exact minima and publishes plan_[gen & 1] by
+// bumping gen_ — also the gate between run_until calls.
 //
 // Determinism. Event priorities are (scheduler oid, counter) pairs —
 // globally unique and independent of thread interleaving (simulator.h) —
-// so each heap pops a total order identical to the serial engine's
+// so each queue pops a total order identical to the serial engine's
 // subsequence for that shard, and lane events carry the exact keys the
-// serial run would have used. Together with the deterministic merge sets
-// and the exact global interleaving, results are byte-identical to the
-// serial engine for any intra_jobs and any reactor_threads.
+// serial run would have used. With the exact global interleaving, results
+// are byte-identical to the serial engine for any intra_jobs and any
+// reactor_threads.
 //
 // When to use: intra-cell sharding pays on a single large topology
-// (fig6's m >= 12 cells) where PR 1's cell-level Runner has no cells left
-// to parallelize — i.e. whenever cells < cores. For sweeps with many
-// small cells, outer parallelism wins; the benches split --jobs into
+// (fig6's m >= 12 cells) where the cell-level Runner has no cells left to
+// parallelize — i.e. whenever cells < cores. For sweeps with many small
+// cells, outer parallelism wins; the benches split --jobs into
 // (outer) x (--intra_jobs) accordingly.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -99,7 +80,7 @@ class ShardedEngine : public ShardRouter {
  public:
   // The network's intra_jobs determines the shard count; its link delay is
   // the lookahead (and must be positive). reactor_threads picks the thread
-  // count backing the pollers (0 = auto).
+  // count (0 = auto).
   explicit ShardedEngine(Network& net);
   ~ShardedEngine() override;
 
@@ -120,26 +101,23 @@ class ShardedEngine : public ShardRouter {
   std::uint64_t events_processed() const;
 
   int num_shards() const noexcept { return num_shards_; }
-  int reactor_threads() const noexcept { return num_reactors_; }
-  const Simulator& shard(int s) const { return *pollers_[static_cast<std::size_t>(s)]->sim; }
+  int reactor_threads() const noexcept { return num_threads_; }
+  const Simulator& shard(int s) const { return *shards_[static_cast<std::size_t>(s)].sim; }
 
-  // Engine self-metrics, cheap plain counters folded on demand. Only valid
-  // between run_until calls (quiescent, like the checkpoint accessors).
+  // Engine self-metrics. Only valid between run_until calls (quiescent,
+  // like the checkpoint accessors).
   struct Metrics {
-    std::uint64_t windows = 0;        // windows executed (epochs advanced)
-    std::uint64_t handoffs = 0;       // cross-shard events posted to lanes
-    std::uint64_t spin_waits = 0;     // no-progress reactor passes
-    std::uint64_t central_plans = 0;  // rendezvous plans (globals/jumps/stop)
+    std::uint64_t windows = 0;   // windows executed (epochs advanced)
+    std::uint64_t handoffs = 0;  // cross-shard events posted to lanes
   };
   Metrics metrics() const;
 
   // --- Checkpoint support (sim/checkpoint.h). All of these are only
-  // valid between run_until calls: the reactors are parked (run_until's
-  // done_count_ acquire-wait ordered their last writes before our reads),
-  // every lane buffer is merged and empty, and every clock sits at the
-  // last deadline. ---
+  // valid between run_until calls: the last rendezvous merged every lane
+  // and posted global and ordered every thread's writes before run_until
+  // returned, and every clock sits at the last deadline. ---
   const Simulator& control() const noexcept { return control_; }
-  Simulator& shard_mut(int s) { return *pollers_[static_cast<std::size_t>(s)]->sim; }
+  Simulator& shard_mut(int s) { return *shards_[static_cast<std::size_t>(s)].sim; }
   Time now() const noexcept { return control_.now(); }
   // Pending global events in key order (the engine's ordered set, which
   // push/pop order reconstructs exactly).
@@ -152,149 +130,108 @@ class ShardedEngine : public ShardRouter {
   void post_global(std::int32_t src_shard, const RoutedEvent& e) override;
 
  private:
-  enum class Phase { kRun, kRunKey, kStop };
-  // Poller states: the per-shard window protocol, advanced one
-  // non-blocking slice per poll() call.
-  enum class PState {
-    kRun,          // executing the window (budgeted slices)
-    kMergeDecide,  // await all produced >= e, merge, publish min, decide
-    kAwaitMerged,  // slow path: await all merged >= e, global-min decide
-    kAwaitPlan,    // parked at the central rendezvous
-    kStopped,      // round over (deadline reached)
+  // An event's (t, prio) key; the default is later than every real key.
+  struct Key {
+    Time t = std::numeric_limits<Time>::max();
+    std::uint64_t prio = std::numeric_limits<std::uint64_t>::max();
+    bool operator<(const Key& o) const noexcept {
+      return t != o.t ? t < o.t : prio < o.prio;
+    }
+  };
+  static Key key(const Simulator::Event& e) noexcept { return {e.t, e.prio}; }
+
+  enum class Phase {
+    kRun,     // run events with t <= deadline
+    kRunKey,  // run events strictly below fence
+    kGlobal,  // rendezvous: a due global comes first
+    kStop,    // rendezvous: nothing is left by the deadline
+  };
+  struct Window {
+    Phase phase = Phase::kStop;
+    Time deadline = 0;
+    Key fence;
+    Time lane_floor = 0;  // lower bound every post of the window respects
+  };
+  // The one window rule, over the earliest pending shard key and the
+  // earliest pending global.
+  Window next_window(Key shard_min, Key next_global) const;
+
+  // One shard's engine state, padded like Slot: its owning thread writes
+  // it on every post.
+  struct alignas(64) Shard {
+    std::unique_ptr<Simulator> sim;
+    // The window being run, read by post() on the owning thread.
+    std::uint64_t epoch = 0;
+    Time lane_floor = 0;
+    // out[dst][epoch & 1] holds window epoch's posts to dst in post order
+    // (out[self] stays empty).
+    std::vector<std::array<std::vector<Simulator::Event>, 2>> out;
+    Key lane_min;  // least key posted to a lane this window
+    // Globals posted since the last rendezvous, and their least key.
+    std::vector<Simulator::Event> globals_out;
+    Key global_min;
+    std::uint64_t handoffs = 0;
   };
 
+  // One shard's published keys, padded so one shard's stores never
+  // false-share with a neighbor's. keys[e & 1] is written at the end of
+  // window e and published by produced = e.
+  struct alignas(64) Slot {
+    std::atomic<std::uint64_t> produced{0};
+    struct Keys {
+      Key heap;    // queue minimum after the window
+      Key lane;    // least key posted to a lane in the window
+      Key global;  // least global posted since the last rendezvous
+    };
+    std::array<Keys, 2> keys;
+  };
+
+  struct Plan {
+    Window window;
+    std::uint64_t epoch = 0;  // epoch of `window`
+  };
+
+  void worker_main(int thread);
+  // Runs this thread's shards from plan `gen` until a plan stops the
+  // round; returns the generation of that stop plan.
+  std::uint64_t run_round(int thread, std::uint64_t gen);
+  // Merges window epoch - 1's lanes into shard s, runs it through window
+  // `w` and publishes its keys.
+  void run_window(int s, std::uint64_t epoch, const Window& w);
+  // Acquires every shard's epoch keys and applies next_window to them.
+  Window decide(std::uint64_t epoch);
+  // Single-threaded, every queue quiescent: merges every lane and posted
+  // global, executes due globals and writes plan_[gen & 1] for a window
+  // numbered `epoch`. Returns false if the round is over.
+  bool plan(std::uint64_t epoch, std::uint64_t gen);
+  void publish(std::uint64_t gen);
+
+  const int num_shards_;
+  const int num_threads_;
+  const Time lookahead_;
+
+  std::vector<Shard> shards_;
+  std::vector<Slot> slots_;
+  Simulator control_;
   struct KeyLess {
     bool operator()(const Simulator::Event& a,
                     const Simulator::Event& b) const noexcept {
       return a.before(b);  // keys are globally unique -> strict total order
     }
   };
-
-  // Per-shard published protocol state, padded so one shard's handshake
-  // stores never false-share with a neighbor's. The plain fields piggyback
-  // on the release stores of the epoch counters: min_* is published by
-  // merged, and is only overwritten at epoch e+1 after every reader's
-  // produced counter passed e+1 — which happens-after their epoch-e reads.
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> produced{0};  // windows fully run
-    std::atomic<std::uint64_t> merged{0};    // windows fully merged
-    Time min_t = 0;           // post-merge heap minimum at epoch `merged`
-    std::uint64_t min_prio = 0;
-    bool has_min = false;
-  };
-
-  // One shard's poller: the state machine plus its outgoing lanes. Owned
-  // by its reactor thread while a round runs, except that a consumer's
-  // merge reads and clears out[consumer][e & 1] (see the header comment).
-  struct Poller {
-    int s = 0;
-    std::unique_ptr<Simulator> sim;
-
-    PState st = PState::kStopped;
-    std::uint64_t epoch = 0;  // monotone across rounds (atomics never reset)
-
-    // Current window, adopted from the central plan or computed locally.
-    Phase phase = Phase::kStop;
-    Time win_deadline = 0;  // kRun: run events with t <= this
-    Time key_t = 0;         // kRunKey: run strictly below (key_t, key_prio)
-    std::uint64_t key_prio = 0;
-    Time lane_floor = 0;    // lower bound every outgoing post must respect
-    Time x_next = 0;        // fixed-step start of the next window (= end)
-    bool force_slow = false;    // kRunKey windows must re-plan centrally
-    std::uint64_t plan_seen = 0;  // plan_gen_ already adopted
-
-    // Outgoing lanes: out[dst][epoch & 1] holds window epoch's posts to
-    // dst in post order (out[s] stays empty).
-    std::vector<std::array<std::vector<Simulator::Event>, 2>> out;
-
-    // Metrics (plain: read only while quiescent).
-    std::uint64_t windows = 0;
-    std::uint64_t handoffs = 0;
-  };
-
-  // Central plan output, published by plan() under plan_gen_ (release).
-  struct Plan {
-    Phase phase = Phase::kStop;
-    Time win_deadline = 0;
-    Time key_t = 0;
-    std::uint64_t key_prio = 0;
-    Time lane_floor = 0;
-    Time x_next = 0;
-    // Snapshot of the earliest pending global after planning; combined
-    // with epoch-tagged inbox posts this is every shard's deterministic
-    // view of "the next global" between central plans.
-    bool g_valid = false;
-    Time g_t = 0;
-    std::uint64_t g_prio = 0;
-  };
-
-  struct GlobalPost {
-    Simulator::Event ev;
-    std::uint64_t epoch;  // poster's window epoch at post time
-  };
-
-  // The next-global key visible to a shard deciding at `epoch`.
-  struct GKey {
-    bool valid = false;
-    Time t = 0;
-    std::uint64_t prio = 0;
-  };
-
-  void worker_main(int reactor);
-  void reactor_main(int reactor);
-  bool poll(Poller& p);  // one non-blocking slice; true if progress
-  void merge_epoch(Poller& p);  // every source's epoch lane -> heap
-  void publish_min(Poller& p);
-  GKey effective_global(std::uint64_t epoch);
-  // Decision steps; each either installs the next window on p (st = kRun)
-  // or advances p to the next protocol state.
-  void decide_fast(Poller& p);
-  void decide_slow(Poller& p);
-  void arrive_central(Poller& p);
-  void adopt_plan(Poller& p);
-  void adopt_window(Poller& p, Phase phase, Time win_deadline, Time key_t,
-                    std::uint64_t key_prio, Time lane_floor, Time x_next,
-                    bool force_slow);
-  // Single-threaded: executes due globals, publishes the next window (or
-  // kStop) via plan_gen_. Every heap is quiescent and fully merged here.
-  void plan();
-
-  Network& net_;
-  const int num_shards_;
-  const int num_reactors_;
-  const Time lookahead_;
-
-  std::vector<std::unique_ptr<Poller>> pollers_;
-  Simulator control_;
-  std::vector<Slot> slots_;
-
-  // Pending global events in key order, plus a mutex-guarded inbox for the
-  // (rare) case of a shard posting a global mid-window. inbox_count_ is
-  // the lock-free emptiness fast path; its release store under the mutex
-  // pairs with the poster's produced handshake so a post tagged epoch e is
-  // visible to every shard deciding at e.
+  // Pending global events in key order; only a rendezvous (or setup)
+  // changes it, so every thread may read its minimum between them.
   std::set<Simulator::Event, KeyLess> globals_;
-  std::mutex global_mu_;
-  std::vector<GlobalPost> global_inbox_;
-  std::atomic<std::uint64_t> inbox_count_{0};
 
-  Plan plan_;
-  std::atomic<std::uint64_t> plan_gen_{0};
-  std::atomic<int> central_arrived_{0};
   Time deadline_ = 0;  // current run_until target
-  std::uint64_t central_plans_ = 0;
-
-  // Per-reactor spin-wait counters (padded; summed while quiescent).
-  struct alignas(64) ReactorStats {
-    std::uint64_t spins = 0;
-  };
-  std::vector<ReactorStats> reactor_stats_;
-
-  // Worker threads park here between run_until calls; done_count_ is their
-  // end-of-round acknowledgment, awaited by run_until before it returns so
-  // the next round's planning cannot race a worker still leaving this one.
-  std::atomic<std::uint64_t> run_gen_{0};
-  std::atomic<int> done_count_{0};
+  // Epoch of the next window to run; windows run so far = next_epoch_ - 1.
+  std::uint64_t next_epoch_ = 1;
+  // plan_[gen & 1] is published by gen_ = gen (release); a plan is
+  // rewritten only two generations later, after every thread has arrived
+  // at a rendezvous past it.
+  std::array<Plan, 2> plan_;
+  std::atomic<std::uint64_t> gen_{0};
+  std::atomic<int> arrived_{0};  // threads at the current rendezvous
   std::atomic<bool> quit_{false};
   std::vector<std::thread> threads_;
 };

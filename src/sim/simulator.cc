@@ -12,36 +12,12 @@ bool Simulator::run_until(Time deadline) {
   return t.ev != nullptr;
 }
 
-namespace {
-
-bool below(const Simulator::Event& e, Time t_bound, std::uint64_t prio_bound) {
-  return e.t < t_bound || (e.t == t_bound && e.prio < prio_bound);
-}
-
-}  // namespace
-
-bool Simulator::run_until_bounded(Time deadline, int budget) {
-  Top t = top();
-  for (; budget > 0 && t.ev != nullptr && t.ev->t <= deadline; t = top()) {
-    dispatch(t);
-    --budget;
-  }
+void Simulator::run_until_key(Time t_bound, std::uint64_t prio_bound) {
+  const auto below = [&](const Event& e) {
+    return e.t < t_bound || (e.t == t_bound && e.prio < prio_bound);
+  };
+  for (Top t = top(); t.ev != nullptr && below(*t.ev); t = top()) dispatch(t);
   cur_key_ = &root_key_;
-  if (t.ev != nullptr && t.ev->t <= deadline) return true;
-  if (now_ < deadline) now_ = deadline;
-  return false;
-}
-
-bool Simulator::run_until_key_bounded(Time t_bound, std::uint64_t prio_bound,
-                                      int budget) {
-  Top t = top();
-  for (; budget > 0 && t.ev != nullptr && below(*t.ev, t_bound, prio_bound);
-       t = top()) {
-    dispatch(t);
-    --budget;
-  }
-  cur_key_ = &root_key_;
-  return t.ev != nullptr && below(*t.ev, t_bound, prio_bound);
 }
 
 void Simulator::run() {

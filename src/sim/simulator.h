@@ -181,19 +181,10 @@ class Simulator {
   }
   std::int32_t self_shard() const noexcept { return self_shard_; }
 
-  // Budgeted window slices for the reactor engine's pollers: dispatch at
-  // most `budget` events, so one shard's dense window cannot starve the
-  // other pollers multiplexed onto the same reactor. Returns true while
-  // events inside the bound remain (budget exhausted — call again);
-  // run_until_bounded advances now() to the deadline only once the window
-  // is fully drained, so a partially run window resumes seamlessly.
-  // run_until_key_bounded runs events with key strictly below (t_bound,
-  // prio_bound) and, unlike run_until, leaves now() at the last executed
-  // event — the bound is an ordering fence (a pending global event's key),
-  // not a time advance.
-  bool run_until_bounded(Time deadline, int budget);
-  bool run_until_key_bounded(Time t_bound, std::uint64_t prio_bound,
-                             int budget);
+  // Runs events with key strictly below (t_bound, prio_bound) and, unlike
+  // run_until, leaves now() at the last executed event — the bound is an
+  // ordering fence (a pending global event's key), not a time advance.
+  void run_until_key(Time t_bound, std::uint64_t prio_bound);
 
   // Key of the earliest pending event; false if none is pending. Only
   // meaningful between runs (single-threaded phases of the engine).

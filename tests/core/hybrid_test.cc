@@ -152,8 +152,8 @@ TEST(Hybrid, ByteIdenticalAcrossIntraJobs) {
   }
 }
 
-// On a 1-core CI box the auto reactor resolve multiplexes every shard onto
-// the caller; forcing one thread per shard exercises the real cross-thread
+// On a 1-core CI box the auto thread count runs every shard on the
+// caller; forcing one thread per shard exercises the real cross-thread
 // handoff under the hybrid window loop (the TSAN preset interleaves this).
 TEST(Hybrid, ByteIdenticalWithForcedReactorThreads) {
   const auto d = topo::make_dring(6, 2, 2);

@@ -424,10 +424,10 @@ TEST(SeededHazard, RandInTcpIsCaughtByShippedConfig) {
   EXPECT_EQ(f[0].line, 2);
 }
 
-// Acceptance demo for the reactor engine: an unjustified raw atomic spin
+// Acceptance demo for the sharded engine: an unjustified raw atomic spin
 // appearing in src/sim must fail the gate under the *shipped*
-// configuration — the engine's own parked waits pass only because they
-// carry justified NOLINTs.
+// configuration — the engine's own bounded wait passes only because it
+// carries a justified NOLINT.
 TEST(SeededHazard, AtomicSpinInSimIsCaughtByShippedConfig) {
   std::string error;
   auto cfg = parse_config(shipped_config_text(), &error);
@@ -595,13 +595,14 @@ TEST(SelfCheck, ShippedTreeIsLintClean) {
   const auto r = run_lint(kSourceDir, *cfg);
   EXPECT_GT(r.files_scanned, 100u) << "scan roots look wrong";
   EXPECT_TRUE(r.findings.empty()) << report_text(r);
-  // Exactly three justified suppressions remain: the reactor engine's two
-  // parked waits and the watchdog's poll loop (all atomic-spin). The six
-  // wall-clock NOLINTs that used to annotate table-build/setup timing are
-  // gone — that timing now routes through the util/walltime barrier,
-  // where no-wall-clock verifies the call edge instead. An exact count
-  // makes both a new suppression and a dead one show up here.
-  EXPECT_EQ(r.suppressed, 3u);
+  // Exactly two justified suppressions remain: the sharded engine's
+  // bounded-spin-then-park wait and the watchdog's poll loop (both
+  // atomic-spin). The six wall-clock NOLINTs that used to annotate
+  // table-build/setup timing are gone — that timing now routes through the
+  // util/walltime barrier, where no-wall-clock verifies the call edge
+  // instead. An exact count makes both a new suppression and a dead one
+  // show up here.
+  EXPECT_EQ(r.suppressed, 2u);
 }
 
 // The index rides on every run: the shipped tree must produce a

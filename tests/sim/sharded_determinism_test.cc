@@ -74,17 +74,27 @@ TEST(ShardedDeterminism, MatchesSerialOnLeafSpine) {
 }
 
 // On a single-core host the auto resolve backs every shard with the
-// caller thread (cooperative reactors); forcing one real reactor thread
-// per shard must not change a byte. This is the cell the TSAN preset
-// actually interleaves — without the override, a 1-CPU CI box would
-// never exercise the cross-thread lane handoff.
+// caller thread; forcing real threads must not change a byte. One thread
+// per shard is the cell the TSAN preset actually interleaves — without the
+// override, a 1-CPU CI box would never exercise the cross-thread lane
+// handoff — and fewer threads than shards, with uneven blocks, run several
+// shards through each window in turn on one thread.
+struct ThreadSplit {
+  int intra;
+  int threads;
+};
+constexpr ThreadSplit kThreadSplits[] = {
+    {2, 2}, {4, 4}, {7, 7}, {4, 2}, {7, 3}};
+
 TEST(ShardedDeterminism, ForcedReactorThreadsMatchSerial) {
   const auto g = topo::make_dring(5, 2, 4).graph;
   const auto serial = run_cell(g, RoutingMode::kEcmp, 1);
-  for (const int intra : kIntraSweep) {
-    expect_identical(
-        serial, run_cell(g, RoutingMode::kEcmp, intra, /*reactor_threads=*/intra),
-        intra);
+  for (const ThreadSplit& split : kThreadSplits) {
+    SCOPED_TRACE("threads=" + std::to_string(split.threads));
+    expect_identical(serial,
+                     run_cell(g, RoutingMode::kEcmp, split.intra,
+                              /*reactor_threads=*/split.threads),
+                     split.intra);
   }
 }
 
@@ -189,9 +199,9 @@ TEST(ShardedDeterminism, FailureAndMonitorInterleaveExactly) {
   }
 }
 
-// The same failure + monitor scenario with real reactor threads forced:
+// The same failure + monitor scenario with real threads forced:
 // global (kShardGlobal) sinks rendezvous across actual threads here, so
-// this is where TSAN sees the central-plan handoff and the per-flow and
+// this is where TSAN sees the rendezvous and the per-flow and
 // per-sample bytes still may not move.
 TEST(ShardedDeterminism, FailureInterleaveWithForcedReactorThreads) {
   const RunPrint serial = run_failure_scenario(1);
@@ -215,19 +225,19 @@ TEST(ShardedDeterminism, FailureInterleaveWithForcedReactorThreads) {
 }
 
 // The engine's own counters are a function of the event streams too: the
-// window sequence, the cross-shard handoffs and the central plans may not
-// depend on how many reactor threads back the shards (spin_waits may).
+// window sequence and the cross-shard handoffs may not depend on how many
+// threads back the shards.
 TEST(ShardedDeterminism, EngineCountersMatchAcrossReactorThreads) {
-  for (const int intra : kIntraSweep) {
-    SCOPED_TRACE("intra_jobs=" + std::to_string(intra));
+  for (const ThreadSplit& split : kThreadSplits) {
+    SCOPED_TRACE("intra_jobs=" + std::to_string(split.intra) +
+                 " threads=" + std::to_string(split.threads));
     const ShardedEngine::Metrics one =
-        run_failure_scenario(intra, /*reactor_threads=*/1).metrics;
+        run_failure_scenario(split.intra, /*reactor_threads=*/1).metrics;
     const ShardedEngine::Metrics many =
-        run_failure_scenario(intra, /*reactor_threads=*/intra).metrics;
+        run_failure_scenario(split.intra, split.threads).metrics;
     EXPECT_GT(one.handoffs, 0u);
     EXPECT_EQ(one.windows, many.windows);
     EXPECT_EQ(one.handoffs, many.handoffs);
-    EXPECT_EQ(one.central_plans, many.central_plans);
   }
 }
 

@@ -213,53 +213,29 @@ class OrderModel {
       ASSERT_EQ(pp, std::get<1>(*pending_.begin()));
     }
     const Time start = sim.now();
-    const std::uint64_t before = dispatched_;
-    switch (rng_.uniform(4)) {
-      case 0: {
-        const Time deadline = start + between(0, 3000);
-        const bool more = sim.run_until(deadline);
-        ASSERT_EQ(more, !pending_.empty());
-        ASSERT_FALSE(min_below(deadline, ~std::uint64_t{0}));
-        ASSERT_EQ(sim.now(), deadline);
-        break;
+    if (rng_.uniform(2) == 0) {
+      const Time deadline = start + between(0, 3000);
+      const bool more = sim.run_until(deadline);
+      ASSERT_EQ(more, !pending_.empty());
+      ASSERT_FALSE(min_below(deadline, ~std::uint64_t{0}));
+      ASSERT_EQ(sim.now(), deadline);
+    } else {
+      // The engine's fence form: at a pending key (exclusive) or at a
+      // random key past the clock.
+      Time t = start + between(0, 3000);
+      std::uint64_t prio = rng_.next();
+      if (!pending_.empty() && rng_.uniform(2) == 0) {
+        auto it = pending_.begin();
+        std::advance(it, rng_.uniform(std::min<std::size_t>(
+                             pending_.size(), 8)));
+        t = std::get<0>(*it);
+        prio = std::get<1>(*it);
       }
-      case 1: {
-        // Fence at a pending key (exclusive) or just past the clock.
-        Time t = start + between(0, 3000);
-        std::uint64_t prio = rng_.next();
-        if (!pending_.empty() && rng_.uniform(2) == 0) {
-          auto it = pending_.begin();
-          std::advance(it, rng_.uniform(std::min<std::size_t>(
-                               pending_.size(), 8)));
-          t = std::get<0>(*it);
-          prio = std::get<1>(*it);
-        }
-        // The engine's form: budgeted slices until the fence is reached.
-        while (sim.run_until_key_bounded(t, prio, 4)) {
-        }
-        ASSERT_FALSE(min_below(t, prio));
-        break;
-      }
-      case 2: {
-        const Time deadline = start + between(0, 3000);
-        const int budget = static_cast<int>(between(1, 20));
-        const bool more = sim.run_until_bounded(deadline, budget);
-        ASSERT_LE(dispatched_ - before, static_cast<std::uint64_t>(budget));
-        ASSERT_EQ(more, min_below(deadline, ~std::uint64_t{0}));
-        if (!more) {
-          ASSERT_EQ(sim.now(), deadline);
-        }
-        break;
-      }
-      default: {
-        const Time t = start + between(0, 3000);
-        const std::uint64_t prio = rng_.next();
-        const int budget = static_cast<int>(between(1, 20));
-        const bool more = sim.run_until_key_bounded(t, prio, budget);
-        ASSERT_LE(dispatched_ - before, static_cast<std::uint64_t>(budget));
-        ASSERT_EQ(more, min_below(t, prio));
-        break;
-      }
+      sim.run_until_key(t, prio);
+      ASSERT_FALSE(min_below(t, prio));
+      // The fence is an ordering bound, not a time advance: the clock
+      // stays at the last executed event.
+      ASSERT_LE(sim.now(), std::max(start, t));
     }
     inject();
   }

@@ -13,7 +13,7 @@
 //                        pointer value depend on the allocator
 //   snapshot-coverage    kill-9/--resume equivalence: every field of a
 //                        serialized struct must appear in its codec
-//   atomic-spin          reactor liveness: busy-wait loops on atomics in
+//   atomic-spin          engine liveness: busy-wait loops on atomics in
 //                        the engine layers must park in a futex-backed
 //                        wait or carry a justified annotation
 //

@@ -378,15 +378,12 @@ class SnapshotCoverage : public Rule {
 };
 
 // ---------------------------------------------------------------------------
-// atomic-spin: the reactor engine's liveness contract says cross-shard
-// waits either make progress (poll another shard) or park in a futex-backed
+// atomic-spin: the sharded engine's liveness contract says a cross-thread
+// wait spins a bounded number of loads and then parks in a futex-backed
 // std::atomic::wait. A raw busy-wait loop on an atomic burns the core a
-// sibling reactor needs, melts the cooperative single-core path, and hides
-// lost-wakeup bugs behind 100% CPU. Flags while/for loop *conditions* that
-// call an atomic read-or-RMW member; the SPSC ring (whose acquire/release
-// protocol is the reviewed exception and never loops on a peer) is
-// allowlisted in lint.toml, and genuinely parked or bounded waits carry a
-// justified NOLINT.
+// sibling thread needs and hides lost-wakeup bugs behind 100% CPU. Flags
+// while/for loop *conditions* that call an atomic read-or-RMW member;
+// genuinely parked or bounded waits carry a justified NOLINT.
 class AtomicSpin : public Rule {
  public:
   const char* name() const override { return "atomic-spin"; }
@@ -432,9 +429,9 @@ class AtomicSpin : public Rule {
           out->push_back(
               {name(), f.path, t[i].line,
                "busy-wait on atomic '" + t[j].text +
-                   "()' in a loop condition — a raw spin starves sibling "
-                   "reactors on the cooperative path and hides lost-wakeup "
-                   "bugs; park in a futex-backed std::atomic::wait (or "
+                   "()' in a loop condition — a raw spin burns the core a "
+                   "sibling thread needs and hides lost-wakeup bugs; "
+                   "park in a futex-backed std::atomic::wait (or "
                    "bound the spin) and annotate with "
                    "NOLINT(spineless-atomic-spin): <why>"});
           break;  // one finding per loop header
